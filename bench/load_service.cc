@@ -492,19 +492,20 @@ int main(int argc, char** argv) {
   if (sum.served < target_rounds) ++invariant_violations;
 
   const double seconds = run.seconds;
-  const auto percentiles = [&](const char* name) {
+  // `unit` follows each value: "ns" for latencies, " users" for sizes.
+  const auto percentiles = [&](const char* name, const char* unit) {
     const HistogramSnapshot hist =
         HistogramByName(after, name).DeltaSince(HistogramByName(before, name));
     if (hist.count == 0) {
       std::printf("  %-26s (no samples)\n", name);
       return;
     }
-    std::printf("  %-26s p50=%lldns p95=%lldns p99=%lldns max=%lldns "
+    std::printf("  %-26s p50=%lld%s p95=%lld%s p99=%lld%s max=%lld%s "
                 "(n=%lld)\n",
-                name, static_cast<long long>(hist.ValueAtPercentile(50)),
-                static_cast<long long>(hist.ValueAtPercentile(95)),
-                static_cast<long long>(hist.ValueAtPercentile(99)),
-                static_cast<long long>(hist.max),
+                name, static_cast<long long>(hist.ValueAtPercentile(50)), unit,
+                static_cast<long long>(hist.ValueAtPercentile(95)), unit,
+                static_cast<long long>(hist.ValueAtPercentile(99)), unit,
+                static_cast<long long>(hist.max), unit,
                 static_cast<long long>(hist.count));
   };
 
@@ -523,11 +524,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(sum.contention_retries));
   std::printf("  retry budgets exhausted    %lld\n",
               static_cast<long long>(sum.retries_exhausted));
-  percentiles("fasea.serve.latency_ns");
-  percentiles("fasea.feedback.latency_ns");
+  percentiles("fasea.serve.latency_ns", "ns");
+  percentiles("fasea.feedback.latency_ns", "ns");
   if (batch >= 1) {
-    percentiles("fasea.batch.size");
-    percentiles("fasea.batch.wait_ns");
+    percentiles("fasea.batch.size", " users");
+    percentiles("fasea.batch.wait_ns", "ns");
   }
   std::printf("  invariant violations       %lld\n",
               static_cast<long long>(invariant_violations));

@@ -38,19 +38,26 @@ std::int64_t ScaledHorizon(std::int64_t full) {
   return t < 50 ? 50 : t;
 }
 
-/// One closed UCB loop over a static world; returns total Propose
-/// nanoseconds and a trajectory checksum (sum of arranged event ids per
-/// round, folded) so the eager and lazy drives can be cross-checked.
+/// One closed UCB loop over a static world. Over the first `horizon`
+/// rounds it sums the Propose nanoseconds and folds a trajectory checksum
+/// (sum of arranged event ids per round) so the eager and lazy drives can
+/// be cross-checked. Those rounds are the lazy scorer's warm-up: events
+/// not yet rescored still carry the a-priori width bound. A lazy drive
+/// then runs `steady_warmup` more rounds untimed and times the
+/// `steady_rounds` after them.
 struct DriveResult {
   std::int64_t propose_nanos = 0;
   std::uint64_t checksum = 0;
-  std::int64_t num_rescores = 0;  // Lazy only.
+  std::int64_t num_rescores = 0;  // Lazy only, first `horizon` rounds.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
+  std::int64_t steady_nanos = 0;  // Lazy only.
 };
 
 DriveResult DriveUcb(std::size_t num_events, std::size_t dim,
-                     std::int64_t horizon, bool lazy) {
+                     std::int64_t horizon, bool lazy,
+                     std::int64_t steady_warmup = 0,
+                     std::int64_t steady_rounds = 0) {
   SyntheticConfig data;
   data.num_events = num_events;
   data.dim = dim;
@@ -71,13 +78,19 @@ DriveResult DriveUcb(std::size_t num_events, std::size_t dim,
   Pcg64 feedback_rng(99);
 
   DriveResult result;
-  for (std::int64_t t = 1; t <= horizon; ++t) {
+  const std::int64_t steady_from = horizon + steady_warmup;
+  for (std::int64_t t = 1; t <= steady_from + steady_rounds; ++t) {
     const RoundContext& round = (*world)->provider().NextRound(t);
     const std::int64_t start = Stopwatch::NowNanos();
     const Arrangement arrangement = ucb.Propose(t, round, state);
-    result.propose_nanos += Stopwatch::NowNanos() - start;
-    for (const EventId v : arrangement) {
-      result.checksum = result.checksum * 1000003u + v + 1;
+    const std::int64_t nanos = Stopwatch::NowNanos() - start;
+    if (t <= horizon) {
+      result.propose_nanos += nanos;
+      for (const EventId v : arrangement) {
+        result.checksum = result.checksum * 1000003u + v + 1;
+      }
+    } else if (t > steady_from) {
+      result.steady_nanos += nanos;
     }
     const Feedback feedback = (*world)->feedback().Sample(
         t, round.contexts, arrangement, feedback_rng);
@@ -85,28 +98,35 @@ DriveResult DriveUcb(std::size_t num_events, std::size_t dim,
       if (feedback[i]) state.ConsumeOne(arrangement[i]);
     }
     ucb.Learn(t, round, arrangement, feedback);
-  }
-  if (lazy) {
-    FASEA_CHECK(ucb.lazy_scorer() != nullptr);
-    FASEA_CHECK(ucb.context_cache() != nullptr);
-    result.num_rescores = ucb.lazy_scorer()->num_rescores();
-    result.cache_hits = ucb.context_cache()->hits();
-    result.cache_misses = ucb.context_cache()->misses();
+    if (lazy && t == horizon) {
+      FASEA_CHECK(ucb.lazy_scorer() != nullptr);
+      FASEA_CHECK(ucb.context_cache() != nullptr);
+      result.num_rescores = ucb.lazy_scorer()->num_rescores();
+      result.cache_hits = ucb.context_cache()->hits();
+      result.cache_misses = ucb.context_cache()->misses();
+    }
   }
   return result;
 }
 
-/// |V| sweep: eager dense scoring vs the lazy cache + stale-bound heap.
+/// |V| sweep: eager dense scoring vs the lazy cache + stale-bound orders.
+/// lazy_round_us covers the first `horizon` rounds, steady_lazy_round_us
+/// the rounds after a further warm-up.
 void SweepEvents() {
   Section("Propose scaling in |V| (UCB, epoch-64 learner, d = 15)");
   const std::int64_t horizon = ScaledHorizon(200);
+  const std::int64_t steady_warmup = ScaledHorizon(2000);
+  const std::int64_t steady_rounds = ScaledHorizon(1000);
   for (const std::size_t v : {1000u, 2500u, 5000u, 10000u}) {
     const DriveResult eager = DriveUcb(v, 15, horizon, /*lazy=*/false);
-    const DriveResult lazy = DriveUcb(v, 15, horizon, /*lazy=*/true);
+    const DriveResult lazy = DriveUcb(v, 15, horizon, /*lazy=*/true,
+                                      steady_warmup, steady_rounds);
     const double eager_us =
         static_cast<double>(eager.propose_nanos) / 1e3 / horizon;
     const double lazy_us =
         static_cast<double>(lazy.propose_nanos) / 1e3 / horizon;
+    const double steady_us =
+        static_cast<double>(lazy.steady_nanos) / 1e3 / steady_rounds;
     const double hit_rate =
         static_cast<double>(lazy.cache_hits) /
         static_cast<double>(lazy.cache_hits + lazy.cache_misses);
@@ -116,10 +136,11 @@ void SweepEvents() {
     std::printf(
         "[scale] sweep=V num_events=%zu dim=15 horizon=%lld "
         "eager_round_us=%.2f lazy_round_us=%.2f speedup=%.2f "
-        "hit_rate=%.4f rescored_frac=%.4f match=%d\n",
+        "hit_rate=%.4f rescored_frac=%.4f match=%d "
+        "steady_lazy_round_us=%.2f\n",
         v, static_cast<long long>(horizon), eager_us, lazy_us,
         lazy_us > 0.0 ? eager_us / lazy_us : 0.0, hit_rate, rescored_frac,
-        eager.checksum == lazy.checksum ? 1 : 0);
+        eager.checksum == lazy.checksum ? 1 : 0, steady_us);
   }
   std::printf("\n");
 }

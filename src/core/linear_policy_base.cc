@@ -143,9 +143,10 @@ Arrangement LinearPolicyBase::ProposeLazy(std::int64_t /*t*/,
     // width0 = 1/λ: xᵀY⁻¹x ≤ ‖x‖²/λ at Y = λI and widths only shrink —
     // except under a sketch, whose shrinks can grow them (lazy_scorer.h).
     lazy_scorer_ = std::make_unique<LazyScorer>(
-        instance_->num_events(), 1.0 / ridge_.lambda(),
+        instance_->num_events(), 1.0 / ridge_.lambda(), alpha,
         /*widths_monotone=*/ridge_.mode() != LearnerMode::kSketch);
   }
+  FASEA_DCHECK(alpha == lazy_scorer_->alpha());
   // Rescores must reproduce the eager scoring path bit for bit in BOTH
   // modes. Scalar mode calls the per-event functions; batched mode runs
   // the batch kernels on a 1-row matrix — their per-row results are
@@ -171,7 +172,7 @@ Arrangement LinearPolicyBase::ProposeLazy(std::int64_t /*t*/,
     }
     return s;
   };
-  return lazy_scorer_->Select(alpha, rescore, round, conflicts(), state,
+  return lazy_scorer_->Select(rescore, round, conflicts(), state,
                               round.user_capacity);
 }
 

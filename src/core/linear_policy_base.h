@@ -164,8 +164,10 @@ class LinearPolicyBase : public Policy {
 
   /// Lazy-round propose for the fixed-θ̂ policies: greedy arrangement
   /// over score(v) = pred(v) + α·√width²(v) through the LazyScorer +
-  /// ContextCache, materializing only popped events. Bit-identical to
+  /// ContextCache, materializing only rescored events. Bit-identical to
   /// scoring all |V| rows and running GreedyOracle (lazy_scorer.h).
+  /// `alpha` must be the same on every call: the first lazy round builds
+  /// the scorer with it.
   Arrangement ProposeLazy(std::int64_t t, const RoundContext& round,
                           const PlatformState& state, double alpha);
 

@@ -294,8 +294,9 @@ StatusOr<Arrangement> ArrangementService::ServeUser(
       next_trace_override_ != 0 ? next_trace_override_ : Mix64(txn);
   next_txn_override_ = 0;
   next_trace_override_ = 0;
-  TraceSpan total_span("serve.total", t_ + 1, TraceRing::Global(),
-                       serve_latency_, trace_id);
+  // Latency counts served rounds only; set_histogram runs on success.
+  TraceSpan total_span("serve.total", t_ + 1, TraceRing::Global(), nullptr,
+                       trace_id);
   if (pending_) {
     serve_errors_metric_->Increment();
     return FailedPreconditionError(
@@ -374,6 +375,7 @@ StatusOr<Arrangement> ArrangementService::ServeUser(
       arrangement.size()));
   rounds_served_gauge_->Set(static_cast<double>(t_));
   UpdateHealthGaugeLocked();
+  total_span.set_histogram(serve_latency_);
   return arrangement;
 }
 
@@ -459,8 +461,8 @@ Status ArrangementService::SubmitFeedback(const Feedback& feedback,
     return DeadlineExceededError(
         "deadline expired before the round pipeline was acquired");
   }
-  TraceSpan total_span("feedback.total", t_, TraceRing::Global(),
-                       feedback_latency_,
+  // Latency counts acknowledged rounds only (set_histogram on success).
+  TraceSpan total_span("feedback.total", t_, TraceRing::Global(), nullptr,
                        pending_ ? pending_trace_id_ : 0);
   if (batching_enabled_.load(std::memory_order_acquire)) {
     feedback_errors_metric_->Increment();
@@ -528,6 +530,7 @@ Status ArrangementService::SubmitFeedback(const Feedback& feedback,
     result->round = t_;
     result->durable = durable;
   }
+  total_span.set_histogram(feedback_latency_);
   return Status::Ok();
 }
 
@@ -793,8 +796,8 @@ Status ArrangementService::SubmitBatchedFeedback(std::int64_t ticket,
     return FailedPreconditionError(
         "batched serving is not enabled (ConfigureBatching)");
   }
-  TraceSpan total_span("feedback.total", t_ + 1, TraceRing::Global(),
-                       feedback_latency_);
+  // Latency counts acknowledged rounds only (set_histogram on success).
+  TraceSpan total_span("feedback.total", t_ + 1, TraceRing::Global());
   auto it = batched_pending_.find(ticket);
   if (it == batched_pending_.end()) {
     feedback_errors_metric_->Increment();
@@ -868,6 +871,7 @@ Status ArrangementService::SubmitBatchedFeedback(std::int64_t ticket,
     result->round = t_;
     result->durable = durable;
   }
+  total_span.set_histogram(feedback_latency_);
   return Status::Ok();
 }
 

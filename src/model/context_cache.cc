@@ -39,12 +39,17 @@ void ContextCache::ApplyPromotions() {
     if (promoted >= kMaxPromotionsPerRound) break;
     if (hot_slot_[v] >= 0) continue;  // Promoted earlier this pass.
     if (hot_size_ < hot_budget_) continue;  // Filled on first touch instead.
+    // Only a candidate beating the bound can beat the coldest slot.
+    if (freq_[v] <= coldest_bound_) continue;
     // Evict the coldest hot slot when the candidate is strictly hotter.
     std::size_t coldest = 0;
     for (std::size_t s = 1; s < hot_size_; ++s) {
       if (freq_[hot_event_[s]] < freq_[hot_event_[coldest]]) coldest = s;
     }
-    if (freq_[v] <= freq_[hot_event_[coldest]]) continue;
+    // Stays a lower bound: hot counts only grow, and the eviction below
+    // replaces this minimum with a larger count.
+    coldest_bound_ = freq_[hot_event_[coldest]];
+    if (freq_[v] <= coldest_bound_) continue;
     hot_slot_[hot_event_[coldest]] = -1;
     hot_event_[coldest] = v;
     hot_slot_[v] = static_cast<std::int32_t>(coldest);

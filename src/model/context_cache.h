@@ -18,7 +18,9 @@
 //    whose counters beat the coldest hot slot (each promotion is one
 //    eviction), so the partition adapts between rounds, never inside
 //    one — scoring within a round sees a frozen partition regardless of
-//    thread count.
+//    thread count. A lower bound on the coldest count (hot counts only
+//    grow) turns most candidates away in O(1); the hot partition is
+//    rescanned only for a candidate that beats the bound.
 //
 // Dense() is the fallback for consumers that genuinely need every row
 // (TS/Boltzmann score all |V| against a sampled θ̃): it materializes the
@@ -64,6 +66,8 @@ class ContextCache {
   std::size_t dim() const { return dim_; }
   std::size_t hot_budget() const { return hot_budget_; }
   std::size_t hot_size() const { return hot_size_; }
+  /// True when event v's row is resident in the hot partition.
+  bool IsHot(EventId v) const { return hot_slot_[v] >= 0; }
 
   /// Starts a round: applies pending promotions, then clears the cold
   /// stash. Call exactly once per round, before any Row() access.
@@ -116,6 +120,9 @@ class ContextCache {
   std::size_t stash_size_ = 0;
 
   std::vector<EventId> promotion_candidates_;  // Cold events seen this round.
+  // Lower bound on the coldest hot slot's count, so a promotion pass
+  // rescans the hot partition only for a candidate that beats it.
+  std::uint32_t coldest_bound_ = 0;
 
   ContextMatrix dense_;
   bool dense_built_ = false;

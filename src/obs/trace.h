@@ -119,6 +119,10 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Sets the histogram the duration goes to on exit (nullptr: the ring
+  /// only). Lets a call record its latency only once it has succeeded.
+  void set_histogram(Histogram* histogram) { histogram_ = histogram; }
+
  private:
   const char* name_;
   std::int64_t round_;

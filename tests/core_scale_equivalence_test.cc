@@ -2,7 +2,8 @@
 // source + ContextCache + LazyScorer) reproduces the eager dense pipeline
 // bit for bit.
 //  * Static worlds with lazy_contexts on/off produce identical
-//    trajectories for all six policies, batched and scalar.
+//    trajectories for all six policies, batched and scalar, under the
+//    exact, epoch-64 and sketch learners.
 //  * The combination epoch learner + lazy contexts at epoch_length 1 is
 //    bit-identical to the exact eager run.
 //  * Lazy runs are thread-count invariant (mirrors the 1-vs-N invariance
@@ -59,21 +60,40 @@ SyntheticExperiment StaticExperiment() {
   return exp;
 }
 
-TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerStaticBatched) {
-  SyntheticExperiment exp = StaticExperiment();
+/// Runs `exp` with dense and with lazy contexts; the trajectories must
+/// be identical.
+void ExpectLazyMatchesEager(SyntheticExperiment exp) {
   const SimulationResult eager = RunSyntheticExperiment(exp);
   exp.data.lazy_contexts = true;
   const SimulationResult lazy = RunSyntheticExperiment(exp);
   ExpectSameResult(eager, lazy);
 }
 
+TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerStaticBatched) {
+  ExpectLazyMatchesEager(StaticExperiment());
+}
+
+TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerEpoch64) {
+  // One learner version spans many rounds: exact scores carry over.
+  SyntheticExperiment exp = StaticExperiment();
+  exp.params.learner.mode = LearnerMode::kEpoch;
+  exp.params.learner.epoch_length = 64;
+  ExpectLazyMatchesEager(exp);
+}
+
+TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerSketch) {
+  // Sketch widths can grow, so bounds fall back to the a-priori width.
+  // m < d: the sketch shrinks.
+  SyntheticExperiment exp = StaticExperiment();
+  exp.params.learner.mode = LearnerMode::kSketch;
+  exp.params.learner.sketch_size = 4;
+  ExpectLazyMatchesEager(exp);
+}
+
 TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerStaticScalar) {
   SyntheticExperiment exp = StaticExperiment();
   exp.params.scalar_scoring = true;
-  const SimulationResult eager = RunSyntheticExperiment(exp);
-  exp.data.lazy_contexts = true;
-  const SimulationResult lazy = RunSyntheticExperiment(exp);
-  ExpectSameResult(eager, lazy);
+  ExpectLazyMatchesEager(exp);
 }
 
 TEST(ScaleEquivalenceTest, UnitEpochLazyMatchesExactEager) {

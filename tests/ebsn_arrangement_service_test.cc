@@ -333,16 +333,16 @@ TEST(ArrangementServiceTest, TelemetryCountsServesFeedbacksAndErrors) {
   EXPECT_EQ(metrics->GetCounter("fasea.feedback.accepted_events")->value() -
                 accepted0,
             accepted);
-  // Every ServeUser call (including the failed ones) records a latency
-  // sample; same for SubmitFeedback.
+  // Only calls that served or acknowledged a round record a latency
+  // sample; the rejected ones do not.
   EXPECT_EQ(
       metrics->GetHistogram("fasea.serve.latency_ns")->Snapshot().count -
           serve_lat0,
-      5);
+      4);
   EXPECT_EQ(
       metrics->GetHistogram("fasea.feedback.latency_ns")->Snapshot().count -
           feedback_lat0,
-      4);
+      3);
   // Health gauges reflect the live service.
   EXPECT_EQ(metrics->GetGauge("fasea.service.learner_healthy")->value(),
             1.0);

@@ -7,12 +7,18 @@
 //  * Cold rows stashed during a round stay addressable until the next
 //    BeginRound; Dense() materializes once and turns every later access
 //    into a hit.
+//  * A seeded access replay matches a plain model that rescans every hot
+//    slot for each promotion candidate: same hits, misses, evictions and
+//    hot set after every round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "model/context_cache.h"
+#include "rng/distributions.h"
+#include "rng/pcg64.h"
 
 namespace fasea {
 namespace {
@@ -149,6 +155,100 @@ TEST(ContextCacheTest, BudgetClampsToEventCount) {
   // Everything fits: no evictions ever.
   EXPECT_EQ(cache.evictions(), 0);
   EXPECT_EQ(cache.hits(), 3);
+}
+
+/// The partition policy without the cache's shortcuts: every promotion
+/// candidate rescans all hot slots for the coldest (first on ties).
+class PlainCacheModel {
+ public:
+  PlainCacheModel(std::size_t num_events, std::size_t budget)
+      : budget_(budget),
+        freq_(num_events, 0),
+        hot_slot_(num_events, -1),
+        stashed_(num_events, false) {}
+
+  void BeginRound() {
+    std::size_t promoted = 0;
+    for (EventId v : candidates_) {
+      if (promoted >= ContextCache::kMaxPromotionsPerRound) break;
+      if (hot_slot_[v] >= 0 || hot_event_.size() < budget_) continue;
+      std::size_t coldest = 0;
+      for (std::size_t s = 1; s < hot_event_.size(); ++s) {
+        if (freq_[hot_event_[s]] < freq_[hot_event_[coldest]]) coldest = s;
+      }
+      if (freq_[v] <= freq_[hot_event_[coldest]]) continue;
+      hot_slot_[hot_event_[coldest]] = -1;
+      hot_event_[coldest] = v;
+      hot_slot_[v] = static_cast<int>(coldest);
+      ++evictions_;
+      ++promoted;
+    }
+    candidates_.clear();
+    std::fill(stashed_.begin(), stashed_.end(), false);
+  }
+
+  void Access(EventId v) {
+    ++freq_[v];
+    if (hot_slot_[v] >= 0 || stashed_[v]) {
+      ++hits_;
+      return;
+    }
+    ++misses_;
+    if (hot_event_.size() < budget_) {
+      hot_slot_[v] = static_cast<int>(hot_event_.size());
+      hot_event_.push_back(v);
+      return;
+    }
+    stashed_[v] = true;
+    candidates_.push_back(v);
+  }
+
+  bool IsHot(EventId v) const { return hot_slot_[v] >= 0; }
+  std::int64_t hits() const { return hits_; }
+  std::int64_t misses() const { return misses_; }
+  std::int64_t evictions() const { return evictions_; }
+
+ private:
+  std::size_t budget_;
+  std::vector<std::uint32_t> freq_;
+  std::vector<int> hot_slot_;
+  std::vector<EventId> hot_event_;
+  std::vector<bool> stashed_;
+  std::vector<EventId> candidates_;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
+  std::int64_t evictions_ = 0;
+};
+
+TEST(ContextCacheTest, SeededReplayMatchesPlainColdestScan) {
+  constexpr std::size_t kEvents = 300;
+  TestSource source(kEvents, 3);
+  ContextCache cache(&source, /*hot_budget=*/24);
+  PlainCacheModel model(kEvents, 24);
+  Pcg64 rng(2024);
+  for (int round = 0; round < 400; ++round) {
+    cache.BeginRound();
+    model.BeginRound();
+    // Skewed towards a popular band that drifts every 50 rounds, so
+    // promotions and evictions keep happening.
+    const std::size_t band = static_cast<std::size_t>(round / 50) * 37;
+    const std::int64_t accesses = UniformInt(rng, 1, 40);
+    for (std::int64_t i = 0; i < accesses; ++i) {
+      const double u = UniformReal(rng, 0.0, 1.0);
+      const auto v = static_cast<EventId>(
+          (band + static_cast<std::size_t>(kEvents * u * u * u)) % kEvents);
+      cache.Row(v);
+      model.Access(v);
+    }
+    ASSERT_EQ(cache.hits(), model.hits()) << "round " << round;
+    ASSERT_EQ(cache.misses(), model.misses()) << "round " << round;
+    ASSERT_EQ(cache.evictions(), model.evictions()) << "round " << round;
+    for (EventId v = 0; v < kEvents; ++v) {
+      ASSERT_EQ(cache.IsHot(v), model.IsHot(v))
+          << "round " << round << " event " << v;
+    }
+  }
+  EXPECT_GT(cache.evictions(), 20);
 }
 
 }  // namespace
