@@ -116,6 +116,11 @@ Matrix RandomContexts(std::size_t n, std::size_t d, Pcg64& rng) {
 
 #define FASEA_BATCH_ARGS \
   ->Args({1000, 10})->Args({1000, 30})->Args({1000, 50})->Args({1000, 100})
+// The width-kernel shapes perfbench's workloads run: one batched user at
+// |V| = 100, d = 16; a 12-event shard partition at d = 16; a 1-row lazy
+// rescore at d = 15.
+#define FASEA_SERVING_WIDTH_ARGS \
+  ->Args({100, 16})->Args({12, 16})->Args({1, 15})
 
 void BM_GemvBatch(benchmark::State& state) {
   Pcg64 rng(8);
@@ -154,13 +159,13 @@ void BM_WidthBatch(benchmark::State& state) {
   const Matrix contexts = RandomContexts(n, d, rng);
   const Matrix y_inv = RandomSpd(d, rng);
   std::vector<double> out(n);
-  Matrix at, g;
+  Matrix at;
   for (auto _ : state) {
-    BatchedQuadForm(contexts, y_inv, out, &at, &g);
+    BatchedQuadForm(contexts, y_inv, out, &at);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_WidthBatch) FASEA_BATCH_ARGS;
+BENCHMARK(BM_WidthBatch) FASEA_BATCH_ARGS FASEA_SERVING_WIDTH_ARGS;
 
 void BM_WidthScalar(benchmark::State& state) {
   Pcg64 rng(9);  // Same stream as BM_WidthBatch: identical inputs.
@@ -176,7 +181,7 @@ void BM_WidthScalar(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_WidthScalar) FASEA_BATCH_ARGS;
+BENCHMARK(BM_WidthScalar) FASEA_BATCH_ARGS FASEA_SERVING_WIDTH_ARGS;
 
 void BM_CholUpdate(benchmark::State& state) {
   // The O(d²) incremental factor update; BM_CholeskyFactorize at the same
@@ -200,7 +205,8 @@ BENCHMARK(BM_CholUpdate)->Arg(10)->Arg(30)->Arg(50)->Arg(100);
 // BENCH_PR9.json derives its epoch-apply speedups from this pair.
 
 #define FASEA_EPOCH_ARGS \
-  ->Args({64, 20})->Args({256, 20})->Args({256, 100})->Args({1024, 100})
+  ->Args({64, 20})->Args({128, 20})->Args({256, 20})->Args({64, 100}) \
+  ->Args({128, 100})->Args({256, 100})->Args({1024, 100})
 
 void BM_EpochApplyBlock(benchmark::State& state) {
   Pcg64 rng(11);

@@ -199,7 +199,7 @@ void SweepEpoch() {
   Section("Epoch boundary (rank-k block vs k rank-1 updates, d = 100)");
   Pcg64 rng(11);
   const std::size_t d = 100;
-  for (const std::size_t k : {64u, 256u, 1024u}) {
+  for (const std::size_t k : {64u, 128u, 256u, 1024u}) {
     Matrix block(k, d);
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < d; ++j) {

@@ -20,7 +20,7 @@ EpsGreedyPolicy::EpsGreedyPolicy(const ProblemInstance* instance,
 void EpsGreedyPolicy::ScoreBatchSnapshot(
     const LearnerSnapshot& snapshot, std::span<const SnapshotRound> rows,
     Matrix* scores, std::span<RowResolve> resolve) const {
-  // Exploitation scores for every row first (one stacked θ̂ GEMV via the
+  // Exploitation scores for every row first (a θ̂ GEMV per user via the
   // base), then the per-ticket coins overwrite exploration rows with the
   // availability-only scores the random oracle expects.
   LinearPolicyBase::ScoreBatchSnapshot(snapshot, rows, scores, resolve);

@@ -13,8 +13,8 @@
 // part of the snapshot — they resolve under the short critical section.
 //
 // Everything a policy's scoring pass needs is precomputed here once per
-// commit instead of once per request: θ̂, Y⁻¹ and its transpose (the
-// confidence-width GEMM operand), and the Cholesky factor of Y for
+// commit instead of once per request: θ̂, the transpose of Y⁻¹ (the
+// confidence-width kernel's operand), and the Cholesky factor of Y for
 // posterior sampling.
 #ifndef FASEA_CORE_LEARNER_SNAPSHOT_H_
 #define FASEA_CORE_LEARNER_SNAPSHOT_H_
@@ -40,7 +40,6 @@ struct LearnerSnapshot {
   bool factor_healthy = false;
 
   Vector theta_hat;   // θ̂ = Y⁻¹ b.
-  Matrix y_inverse;   // Y⁻¹ (for parity with the sequential width path).
   Matrix y_inverse_t; // (Y⁻¹)ᵀ — BatchedQuadFormPre's operand.
   std::optional<Cholesky> factor;  // L with L·Lᵀ = Y, for TS sampling.
 

@@ -20,36 +20,12 @@ std::shared_ptr<const LearnerSnapshot> LinearPolicyBase::MakeSnapshot()
   snap->healthy = ridge_.healthy();
   snap->factor_healthy = ridge_.factor_healthy();
   snap->theta_hat = ridge_.ThetaHat();
-  snap->y_inverse = ridge_.YInverse();
-  TransposeInto(snap->y_inverse, &snap->y_inverse_t);
+  TransposeInto(ridge_.YInverse(), &snap->y_inverse_t);
   if (snap->factor_healthy) snap->factor.emplace(ridge_.Factor());
   double checksum = 0.0;
   for (double v : snap->theta_hat.span()) checksum += v;
   snap->theta_checksum = checksum;
   return snap;
-}
-
-void LinearPolicyBase::StackContexts(std::span<const SnapshotRound> rows,
-                                     Matrix* stacked) {
-  FASEA_CHECK(!rows.empty());
-  const std::size_t n = rows.front().round->contexts.rows();
-  const std::size_t d = rows.front().round->contexts.cols();
-  if (stacked->rows() != rows.size() * n || stacked->cols() != d) {
-    *stacked = Matrix(rows.size() * n, d);
-  }
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Matrix& contexts = rows[i].round->contexts;
-    FASEA_CHECK(contexts.rows() == n && contexts.cols() == d);
-    std::copy(contexts.data(), contexts.data() + n * d,
-              stacked->data() + i * n * d);
-  }
-}
-
-void LinearPolicyBase::MaskBatchRows(std::span<const SnapshotRound> rows,
-                                     Matrix* scores) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    ApplyAvailabilityMask(*rows[i].round, scores->Row(i));
-  }
 }
 
 void LinearPolicyBase::ScoreBatchSnapshot(
@@ -58,17 +34,13 @@ void LinearPolicyBase::ScoreBatchSnapshot(
   FASEA_CHECK(snapshot.healthy);
   FASEA_CHECK(scores->rows() == rows.size() &&
               resolve.size() == rows.size());
-  if (rows.empty()) return;
-  // Pure exploitation: one stacked GEMV over all B·|V| context rows.
-  // Each score row is the same flat storage GemvRows writes, and each
-  // row's dot is computed independently in sequential j-order, so the
-  // results are bit-identical to B separate PredictBatch calls.
-  Matrix stacked;
-  StackContexts(rows, &stacked);
-  GemvRows(stacked, snapshot.theta_hat.span(),
-           std::span<double>(scores->data(),
-                             scores->rows() * scores->cols()));
-  MaskBatchRows(rows, scores);
+  // Pure exploitation: each user's GEMV writes straight into its score
+  // row — the same call a lone PredictBatch makes, so the bits match.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::span<double> row = scores->Row(i);
+    GemvRows(rows[i].round->contexts, snapshot.theta_hat.span(), row);
+    ApplyAvailabilityMask(*rows[i].round, row);
+  }
 }
 
 void LinearPolicyBase::Learn(std::int64_t /*t*/, const RoundContext& round,
@@ -150,8 +122,8 @@ Arrangement LinearPolicyBase::ProposeLazy(std::int64_t /*t*/,
   // Rescores must reproduce the eager scoring path bit for bit in BOTH
   // modes. Scalar mode calls the per-event functions; batched mode runs
   // the batch kernels on a 1-row matrix — their per-row results are
-  // batch-size-invariant, while the scalar quad form is NOT bit-equal to
-  // the batched one under -march=native FMA contraction.
+  // batch-size-invariant, so equality holds without leaning on the
+  // kernels' bit-compatibility with the scalar forms.
   const bool batched = scoring_mode() == ScoringMode::kBatched;
   if (batched && lazy_row_.rows() != 1) {
     lazy_row_ = Matrix(1, instance_->dim());

@@ -97,13 +97,14 @@ class LinearPolicyBase : public Policy {
   /// the caller how to turn each row into an arrangement. Per-row scores
   /// are bit-identical to what the sequential batched Propose computes
   /// from the same learner state, availability masks included (batched
-  /// rounds carry none today, but the mask is applied for parity). The
-  /// base implementation is pure exploitation (one stacked θ̂ GEMV over
-  /// all B·|V| rows); UCB adds the confidence width via the snapshot's
-  /// precomputed (Y⁻¹)ᵀ, TS samples a per-ticket θ̃ through the
-  /// snapshot's factor, eGreedy flips a per-ticket coin and marks
-  /// exploration rows kRandom. Requires snapshot.healthy — the serving
-  /// layer falls back to stateless proposals otherwise.
+  /// rounds carry none today, but the mask is applied for parity). Each
+  /// user is scored straight into its own score row. The base
+  /// implementation is pure exploitation (a θ̂ GEMV per user); UCB adds
+  /// the confidence width via the snapshot's precomputed (Y⁻¹)ᵀ, TS
+  /// samples a per-ticket θ̃ through the snapshot's factor, eGreedy flips
+  /// a per-ticket coin and marks exploration rows kRandom. Requires
+  /// snapshot.healthy — the serving layer falls back to stateless
+  /// proposals otherwise.
   virtual void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
                                   std::span<const SnapshotRound> rows,
                                   Matrix* scores,
@@ -145,14 +146,6 @@ class LinearPolicyBase : public Policy {
     return scores_;
   }
 
-  /// Stacks the batch's context matrices into one (B·|V|) × d operand so
-  /// one kernel call scores every user.
-  static void StackContexts(std::span<const SnapshotRound> rows,
-                            Matrix* stacked);
-  /// Applies each round's availability mask to its score row.
-  static void MaskBatchRows(std::span<const SnapshotRound> rows,
-                            Matrix* scores);
-
   /// The policy's context cache for `source`, created on first use.
   ContextCache* EnsureCache(const ContextSource* source);
 
@@ -181,11 +174,10 @@ class LinearPolicyBase : public Policy {
   std::size_t cache_budget_ = 0;
   std::unique_ptr<ContextCache> cache_;
   std::unique_ptr<LazyScorer> lazy_scorer_;
-  // 1×d scratch for lazy rescores in batched mode: the rescore must run
-  // through the same batch kernels eager scoring uses, because under
-  // -march=native FMA contraction the batched quad form is NOT bit-equal
-  // to the scalar one (it IS batch-size-invariant per row, so a 1-row
-  // call reproduces the full-matrix result exactly).
+  // 1×d scratch for lazy rescores in batched mode: the rescore runs
+  // through the same batch kernels eager scoring uses, whose per-row
+  // results are batch-size-invariant, so a 1-row call reproduces the
+  // full-matrix result exactly by construction.
   Matrix lazy_row_;
   // Last-synced cache counter values: Learn publishes deltas to the
   // process-wide metrics so the per-row hot loop stays atomics-free.

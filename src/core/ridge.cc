@@ -106,7 +106,7 @@ void RidgeState::PredictBatch(const Matrix& contexts,
 void RidgeState::ConfidenceWidthSqBatch(const Matrix& contexts,
                                         std::span<double> out) const {
   FASEA_CHECK(out.size() == contexts.rows());
-  BatchedQuadForm(contexts, inverse_.inverse(), out, &batch_at_, &batch_g_);
+  BatchedQuadForm(contexts, inverse_.inverse(), out, &batch_at_);
 }
 
 }  // namespace fasea

@@ -48,7 +48,7 @@ class RidgeState {
   void Update(std::span<const double> x, double reward);
 
   /// Folds a k×d block of observations in one amortized rank-k step:
-  /// Y += XᵀX by blocked GEMM, b += Σ rᵢ xᵢ, then an exact
+  /// Y += XᵀX by register-tiled GEMM, b += Σ rᵢ xᵢ, then an exact
   /// re-factorization of both the inverse and the Cholesky factor (the
   /// epoch boundary — no incremental drift survives a block). Used by
   /// EpochRidgeState; per-observation cost amortizes to O(d²·k/k + d³/k)
@@ -70,8 +70,8 @@ class RidgeState {
   /// instead of |V| dots. Bit-identical to PredictedReward per row.
   void PredictBatch(const Matrix& contexts, std::span<double> out) const;
 
-  /// Batched xᵀ Y⁻¹ x over every row of `contexts`: one blocked GEMM plus
-  /// row-dots instead of |V| d×d quadratic forms. Bit-identical to
+  /// Batched xᵀ Y⁻¹ x over every row of `contexts`: BatchedQuadForm
+  /// instead of |V| d×d quadratic forms. Bit-identical to
   /// ConfidenceWidthSq per row. Mutates internal scratch — a RidgeState
   /// was never shareable across threads without a lock anyway (Update).
   void ConfidenceWidthSqBatch(const Matrix& contexts,
@@ -145,8 +145,7 @@ class RidgeState {
   std::size_t MemoryBytes() const {
     return inverse_.MemoryBytes() + b_.MemoryBytes() +
            theta_hat_.MemoryBytes() + factor_.L().MemoryBytes() +
-           factor_work_.MemoryBytes() + batch_at_.MemoryBytes() +
-           batch_g_.MemoryBytes();
+           factor_work_.MemoryBytes() + batch_at_.MemoryBytes();
   }
 
  private:
@@ -164,7 +163,6 @@ class RidgeState {
   bool factor_healthy_ = true;
   mutable Vector factor_work_;  // Scratch for the rank-1 factor update.
   mutable Matrix batch_at_;     // Scratch: (Y⁻¹)ᵀ for the batched widths.
-  mutable Matrix batch_g_;      // Scratch: X · (Y⁻¹)ᵀ.
   mutable Vector theta_hat_;
   mutable bool theta_dirty_ = true;
 };

@@ -116,8 +116,7 @@ void TsPolicy::ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
       theta = snapshot.theta_hat;
       sample_factor_failures_metric_->Increment();
     }
-    // Per-user θ̃ means per-user GEMV — TS's posterior draws cannot share
-    // one stacked multiply the way the fixed-θ̂ policies do.
+    // Per-user θ̃: each row's GEMV runs against its own posterior draw.
     GemvRows(user.round->contexts, theta.span(), scores->Row(i));
     ApplyAvailabilityMask(*user.round, scores->Row(i));
   }

@@ -21,23 +21,21 @@ void UcbPolicy::ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
   FASEA_CHECK(snapshot.healthy);
   FASEA_CHECK(scores->rows() == rows.size() &&
               resolve.size() == rows.size());
-  if (rows.empty()) return;
-  Matrix stacked;
-  StackContexts(rows, &stacked);
-  const std::size_t total = scores->rows() * scores->cols();
-  std::span<double> flat(scores->data(), total);
-  // Predictions and widths over all B·|V| rows in two kernel calls; the
-  // combine mirrors the sequential batched Propose term for term, and
-  // both kernels are row-independent, so each user's scores equal a
-  // lone PredictBatch + ConfidenceWidthSqBatch against this state.
-  GemvRows(stacked, snapshot.theta_hat.span(), flat);
-  std::vector<double> width(total);
-  Matrix g;
-  BatchedQuadFormPre(stacked, snapshot.y_inverse_t, width, &g);
-  for (std::size_t k = 0; k < total; ++k) {
-    flat[k] = flat[k] + params_.alpha * std::sqrt(width[k]);
+  // Each user's context matrix is scored straight into its score row by
+  // the same two kernels a lone PredictBatch + ConfidenceWidthSqBatch
+  // run, and the combine mirrors the sequential batched Propose term for
+  // term, so each row's bits match a lone propose against this state.
+  std::vector<double> width(scores->cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ContextMatrix& contexts = rows[i].round->contexts;
+    std::span<double> row = scores->Row(i);
+    GemvRows(contexts, snapshot.theta_hat.span(), row);
+    BatchedQuadFormPre(contexts, snapshot.y_inverse_t, width);
+    for (std::size_t v = 0; v < row.size(); ++v) {
+      row[v] = row[v] + params_.alpha * std::sqrt(width[v]);
+    }
+    ApplyAvailabilityMask(*rows[i].round, row);
   }
-  MaskBatchRows(rows, scores);
 }
 
 double UcbPolicy::UpperConfidenceBound(std::span<const double> x) const {
@@ -59,8 +57,8 @@ Arrangement UcbPolicy::Propose(std::int64_t t, const RoundContext& round,
   std::span<double> scores = Scores(n);
   const std::int64_t score_start = SpanStart();
   if (scoring_mode() == ScoringMode::kBatched) {
-    // One GEMV + one blocked GEMM for the whole round; the combine loop
-    // mirrors UpperConfidenceBound term for term, so the scores are
+    // One GEMV + one width-kernel call for the whole round; the combine
+    // loop mirrors UpperConfidenceBound term for term, so the scores are
     // bit-identical to the scalar path.
     pred_.resize(n);
     width_.resize(n);

@@ -32,10 +32,11 @@ class UcbPolicy final : public LinearPolicyBase {
   Arrangement Propose(std::int64_t t, const RoundContext& round,
                       const PlatformState& state) override;
 
-  /// Batched UCB over a snapshot: one stacked GEMV for the predictions
-  /// plus one stacked width GEMM against the snapshot's precomputed
-  /// (Y⁻¹)ᵀ, then the same per-event combine as Propose — bit-identical
-  /// to scoring each user separately against that learner state.
+  /// Batched UCB over a snapshot: per user, a GEMV for the predictions
+  /// and the width kernel against the snapshot's precomputed (Y⁻¹)ᵀ,
+  /// written straight into that user's score row, then the same
+  /// per-event combine as Propose — bit-identical to scoring each user
+  /// alone against that learner state.
   void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
                           std::span<const SnapshotRound> rows,
                           Matrix* scores,

@@ -619,6 +619,8 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
         const bool window_over =
             Stopwatch::NowNanos() - waiter.enqueue_ns >= window_ns;
         if (full || lone || window_over) {
+          // Queue wait ends here; scoring and resolution are serve time.
+          const std::int64_t claim_ns = Stopwatch::NowNanos();
           const std::size_t take =
               std::min(batch_queue_.size(),
                        static_cast<std::size_t>(batching_.max_batch));
@@ -627,6 +629,7 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
             BatchWaiter* w = batch_queue_.front();
             batch_queue_.pop_front();
             w->claimed = true;
+            batch_wait_hist_->Record(claim_ns - w->enqueue_ns);
             batch.push_back(w);
           }
           batch_seq = next_batch_seq_++;
@@ -700,7 +703,7 @@ void ArrangementService::ProcessBatch(
   std::vector<RowResolve> resolve(b, RowResolve::kGreedy);
   const auto* base = static_cast<const LinearPolicyBase*>(policy_.get());
   if (snap->healthy) {
-    // The expensive step: one stacked scoring pass over the immutable
+    // The expensive step: every user's row scored against the immutable
     // snapshot with no lock held — feedback commits run in parallel.
     base->ScoreBatchSnapshot(*snap, rows, &scores,
                              std::span<RowResolve>(resolve));
@@ -768,10 +771,8 @@ void ArrangementService::ProcessBatch(
     ++resolve_turn_;
     resolve_cv_.notify_all();
   }
-  const std::int64_t resolved_ns = Stopwatch::NowNanos();
   batch_size_hist_->Record(static_cast<std::int64_t>(b));
   for (std::size_t i = 0; i < b; ++i) {
-    batch_wait_hist_->Record(resolved_ns - batch[i]->enqueue_ns);
     BatchedRound out;
     out.ticket = batch[i]->ticket;
     out.epoch = snap->epoch;

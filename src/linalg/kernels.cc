@@ -1,15 +1,66 @@
 #include "linalg/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace fasea {
 
 namespace {
 
-// Rows of X processed per sweep of BatchedQuadForm's GEMM stage. A block
-// of G rows (kRowBlock × d doubles, ≤ 12.5 KB at d = 100) stays L1/L2
-// resident while every row of Aᵀ streams through it once.
-constexpr std::size_t kRowBlock = 16;
+// SSE2's two doubles as a GCC/Clang generic vector. Explicit vectors keep
+// the -O3 loop vectorizer off the tile's k-loop (it adds lane shuffles).
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+
+// One R-row register tile of c += a · b (a has row stride kdim, b and c
+// row stride n) covering P·w columns, w = Lane's width; returns P·w. It
+// is loaded once, adds its k-terms in sequential k-order — each b vector
+// feeds all R rows — and is stored once, so every lane rounds exactly
+// like the scalar triple loop.
+template <typename Lane, std::size_t R, std::size_t P>
+std::size_t Tile(const double* FASEA_RESTRICT a,
+                 const double* FASEA_RESTRICT b, std::size_t kdim,
+                 std::size_t n, double* FASEA_RESTRICT c) {
+  constexpr std::size_t w = sizeof(Lane) / sizeof(double), T = R * P;
+  const auto ct = [&](std::size_t t) { return c + t / P * n + t % P * w; };
+  Lane acc[T];
+#pragma GCC unroll 8
+  for (std::size_t t = 0; t < T; ++t) std::memcpy(&acc[t], ct(t), sizeof(Lane));
+  for (std::size_t k = 0; k < kdim; ++k) {
+    const double* ak = a + k;
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < P; ++p) {
+      Lane bk;
+      std::memcpy(&bk, b + k * n + p * w, sizeof(Lane));
+#pragma GCC unroll 2
+      for (std::size_t r = 0; r < R; ++r) acc[r * P + p] += ak[r * kdim] * bk;
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t t = 0; t < T; ++t) std::memcpy(ct(t), &acc[t], sizeof(Lane));
+  return P * w;
+}
+
+// R rows of c += a · b: 8-column tiles, then 4-, 2- and 1-column ones.
+template <std::size_t R>
+void GemmRows(const double* a, const double* b, std::size_t kdim,
+              std::size_t n, double* c) {
+  std::size_t j = 0;
+  while (j + 8 <= n) j += Tile<Lanes2, R, 4>(a, b + j, kdim, n, c + j);
+  if (n - j >= 4) j += Tile<Lanes2, R, 2>(a, b + j, kdim, n, c + j);
+  if (n - j >= 2) j += Tile<Lanes2, R, 1>(a, b + j, kdim, n, c + j);
+  if (n - j == 1) Tile<double, R, 1>(a, b + j, kdim, n, c + j);
+}
+
+// c (m × n) += a (m × kdim) · b (kdim × n), all dense row-major: row
+// pairs share every b load (a 2×8 tile fills the SSE2 registers).
+void GemmBlock(const double* a, std::size_t m, const double* b,
+               std::size_t kdim, std::size_t n, double* c) {
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) GemmRows<2>(a + i * kdim, b, kdim, n, c + i * n);
+  if (i < m) GemmRows<1>(a + i * kdim, b, kdim, n, c + i * n);
+}
 
 }  // namespace
 
@@ -63,19 +114,7 @@ void TransposeInto(const Matrix& a, Matrix* out) {
 void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
   FASEA_CHECK(a.cols() == b.rows() && c->rows() == a.rows() &&
               c->cols() == b.cols());
-  const std::size_t n = b.cols(), kdim = a.cols();
-  for (std::size_t i0 = 0; i0 < a.rows(); i0 += kRowBlock) {
-    const std::size_t i1 = std::min(i0 + kRowBlock, a.rows());
-    for (std::size_t k = 0; k < kdim; ++k) {
-      const double* FASEA_RESTRICT brow = b.data() + k * n;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double aik = a.data()[i * kdim + k];
-        double* FASEA_RESTRICT crow = c->data() + i * n;
-#pragma omp simd
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  }
+  GemmBlock(a.data(), a.rows(), b.data(), a.cols(), b.cols(), c->data());
 }
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -87,34 +126,42 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
 }
 
 void BatchedQuadForm(const Matrix& x, const Matrix& a, std::span<double> out,
-                     Matrix* at, Matrix* g) {
+                     Matrix* at) {
   FASEA_CHECK(a.rows() == x.cols() && a.cols() == x.cols());
   // G(v, i) must accumulate A(i, 0)·x₀ + A(i, 1)·x₁ + … in that order to
-  // match QuadraticForm's row traversal; with B = Aᵀ the i-k-j GEMM
-  // produces exactly G(v, i) = Σ_k x(v, k)·B(k, i) = Σ_k x(v, k)·A(i, k)
-  // in sequential k-order. (A is symmetric up to ulps here — Y⁻¹ from
+  // match QuadraticForm's row traversal; with B = Aᵀ the GEMM produces
+  // exactly G(v, i) = Σ_k x(v, k)·B(k, i) = Σ_k x(v, k)·A(i, k) in
+  // sequential k-order. (A is symmetric up to ulps here — Y⁻¹ from
   // Sherman–Morrison — but bit-compatibility cannot ride on that, hence
   // the explicit transpose; it is O(d²) per round, noise next to the
   // O(n·d²) GEMM.)
   TransposeInto(a, at);
-  BatchedQuadFormPre(x, *at, out, g);
+  BatchedQuadFormPre(x, *at, out);
 }
 
 void BatchedQuadFormPre(const Matrix& x, const Matrix& at,
-                        std::span<double> out, Matrix* g) {
+                        std::span<double> out) {
   const std::size_t n = x.rows(), d = x.cols();
   FASEA_CHECK(at.rows() == d && at.cols() == d && out.size() == n);
-  if (g->rows() != n || g->cols() != d) *g = Matrix(n, d);
-  g->Fill(0.0);
-  GemmAccumulate(x, at, g);
-  // Cheap O(n·d) epilogue: w_v = Σ_i x(v, i)·G(v, i), scalar i-order —
-  // the same products QuadraticForm's outer loop adds, in the same order.
-  for (std::size_t v = 0; v < n; ++v) {
-    const double* FASEA_RESTRICT xrow = x.data() + v * d;
-    const double* FASEA_RESTRICT grow = g->data() + v * d;
-    double total = 0.0;
-    for (std::size_t i = 0; i < d; ++i) total += xrow[i] * grow[i];
-    out[v] = total;
+  // G rows two at a time, in a buffer owned by the call (batches score
+  // concurrently against one shared snapshot, with no lock held).
+  constexpr std::size_t kBlock = 2, kStackRow = 128;
+  double stack_rows[kBlock * kStackRow];
+  std::vector<double> heap_rows(d > kStackRow ? kBlock * d : 0);
+  double* FASEA_RESTRICT g = d > kStackRow ? heap_rows.data() : stack_rows;
+  for (std::size_t v0 = 0; v0 < n; v0 += kBlock) {
+    const std::size_t rows = std::min(kBlock, n - v0);
+    std::fill(g, g + rows * d, 0.0);
+    GemmBlock(x.data() + v0 * d, rows, at.data(), d, d, g);
+    // Cheap O(d) epilogue: w_v = Σ_i x(v, i)·G(v, i), scalar i-order —
+    // the same products QuadraticForm's outer loop adds, in that order.
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* FASEA_RESTRICT xrow = x.data() + (v0 + r) * d;
+      const double* FASEA_RESTRICT grow = g + r * d;
+      double total = 0.0;
+      for (std::size_t i = 0; i < d; ++i) total += xrow[i] * grow[i];
+      out[v0 + r] = total;
+    }
   }
 }
 

@@ -6,23 +6,24 @@
 // WITHOUT changing a single result bit relative to the per-event scalar
 // loops they replace:
 //
-//  * Reductions stay scalar, accumulations become axpy. A row-wise dot
-//    (Σ_j a_j·x_j) cannot be SIMD-vectorized without reassociating the
-//    sum (illegal under IEEE without -ffast-math, and it would break the
-//    batched-vs-scalar bit-compatibility the simulator tests assert).
-//    An axpy (y[:] += s·a[:]) has no cross-lane dependence, so the
-//    compiler vectorizes it freely while every y[i] still accumulates
-//    its terms in exactly the scalar order.
-//  * BatchedQuadForm therefore computes G = X·Aᵀ in axpy form (the
-//    O(|V|·d²) bulk, fully vectorized; the explicit transpose makes the
-//    inner loop contiguous AND makes the per-element accumulation order
-//    identical to Matrix::QuadraticForm's row-major traversal), then
-//    finishes with the cheap O(|V|·d) row-dots in scalar order.
+//  * Reductions stay scalar; only independent outputs share a vector.
+//    Reassociating a dot product (Σ_j a_j·x_j) would change its rounding
+//    and break the batched-vs-scalar bit-compatibility the simulator
+//    tests assert. GEMM outputs c(i, j) are independent, so register
+//    tiles hold them in vector lanes for a whole k-loop — loaded once,
+//    stored once — each adding its k-terms in exactly the scalar order.
+//  * BatchedQuadForm computes each context row's G row x·Aᵀ with that
+//    kernel (the explicit transpose makes each output's accumulation
+//    order Matrix::QuadraticForm's row-major one), then the O(d)
+//    row-dot in scalar order.
 //  * GemvRows keeps each row's reduction sequential but interleaves four
 //    independent rows, breaking the add-latency dependency chain that
 //    makes one long dot product latency-bound.
 //  * CholUpdate maintains L(Y + xxᵀ) from L(Y) in O(d²) via Givens-style
 //    rotations, replacing the O(d³) per-round re-factorization in TS.
+//
+// Every product must round alike in a kernel and its scalar reference,
+// so FMA-capable builds compile with -ffp-contract=off (CMakeLists.txt).
 //
 // All pointer kernels require non-aliasing arguments (FASEA_RESTRICT).
 #ifndef FASEA_LINALG_KERNELS_H_
@@ -50,34 +51,34 @@ void GemvRows(const Matrix& a, std::span<const double> x,
 /// out = aᵀ (resized/reshaped as needed).
 void TransposeInto(const Matrix& a, Matrix* out);
 
-/// c += a · b in blocked i-k-j axpy form (c must be pre-shaped
-/// a.rows() × b.cols() — zero it first for a plain product). The inner
-/// j-loop is a contiguous vectorizable axpy; each c(i,j) accumulates its
-/// k-terms in sequential k-order.
+/// c += a · b (c must be pre-shaped a.rows() × b.cols() — zero it first
+/// for a plain product), in 2-row × 8-column register tiles; each c(i,j)
+/// adds its k-terms in sequential k-order onto its prior value, exactly
+/// as the scalar triple loop does.
 void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// c = a · b — the plain GEMM entry (reshapes and zeroes `c`, then runs
-/// GemmAccumulate). The batched serving path stacks B users' context
-/// matrices into one (B·|V|) × d operand and scores them in this single
-/// call instead of B GEMVs.
+/// GemmAccumulate).
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// out[v] = Row(x, v)ᵀ · a · Row(x, v) for every row of x (n × d), with
 /// `a` square d × d. Equivalent to — and bit-identical with — calling
-/// a.QuadraticForm(x.Row(v)) per row, but the O(n·d²) bulk runs as a
-/// blocked vectorized GEMM against aᵀ. `at` and `g` are caller scratch
-/// (reshaped as needed) so per-round calls allocate nothing.
+/// a.QuadraticForm(x.Row(v)) per row, but the O(n·d²) bulk runs through
+/// the register-tiled GEMM against aᵀ. `at` is caller scratch for the
+/// transpose (reshaped as needed); the G rows live in a buffer owned by
+/// the call.
 void BatchedQuadForm(const Matrix& x, const Matrix& a, std::span<double> out,
-                     Matrix* at, Matrix* g);
+                     Matrix* at);
 
 /// BatchedQuadForm with the transpose already in hand: out[v] =
 /// Row(x, v)ᵀ · atᵀ · Row(x, v) where `at` is the d × d transpose of the
 /// quadratic-form matrix. Bit-identical to BatchedQuadForm(x, atᵀ, ...) —
 /// it IS that function minus the TransposeInto — so callers that reuse
-/// one matrix across many batches (epoch snapshots precompute (Y⁻¹)ᵀ
-/// once per feedback commit) skip the per-call transpose.
+/// one matrix across many batches (snapshots precompute (Y⁻¹)ᵀ once per
+/// feedback commit) skip the per-call transpose. A row's result does not
+/// depend on the other rows of the call.
 void BatchedQuadFormPre(const Matrix& x, const Matrix& at,
-                        std::span<double> out, Matrix* g);
+                        std::span<double> out);
 
 /// Rank-1 Cholesky update: given lower-triangular `l` with L·Lᵀ = Y,
 /// rewrites it in place so L·Lᵀ = Y + x·xᵀ, in O(d²) (vs O(d³) for a

@@ -3,14 +3,18 @@
 //  * RidgeState's batch APIs are bit-identical to the per-context calls.
 //  * Full simulations under ScoringMode::kScalar and kBatched produce
 //    identical trajectories on the fig1 default configuration.
+//  * A multi-user snapshot batch scores every user exactly as that user
+//    scored alone, at a learned state.
 //  * TS's maintained Cholesky factor tracks the fresh factorization
 //    within a drift bound, and a corrupt Y degrades the proposal instead
 //    of aborting.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "core/linear_policy_base.h"
 #include "core/policy_factory.h"
 #include "core/ts_policy.h"
 #include "core/ridge.h"
@@ -174,6 +178,95 @@ struct Fixture {
     return f;
   }
 };
+
+TEST(SnapshotBatchTest, EachUserRowMatchesScoringThatUserAloneWhenLearned) {
+  // Five users with distinct contexts, one with an availability mask,
+  // scored in one batch against a learned snapshot (Y⁻¹ far from I/λ):
+  // each score row and resolve flag must equal what that user gets when
+  // scored alone with the same ticket. d = 13 leaves a remainder after
+  // the width kernel's 8-column tile.
+  constexpr std::size_t kEvents = 30, kDim = 13, kUsers = 5;
+  Fixture f = Fixture::Make(kEvents, kDim, 3);
+  Pcg64 rng(303);
+  std::vector<RoundContext> users(kUsers);
+  std::vector<SnapshotRound> rows(kUsers);
+  for (std::size_t i = 0; i < kUsers; ++i) {
+    users[i].contexts = RandomContexts(kEvents, kDim, rng);
+    users[i].user_capacity = 3;
+    rows[i].ticket = static_cast<std::int64_t>(i) + 3;
+    rows[i].round = &users[i];
+  }
+  users[2].available.assign(kEvents, 1);
+  for (std::size_t v = 0; v < kEvents; v += 3) users[2].available[v] = 0;
+
+  PolicyParams params;
+  params.epsilon = 0.5;  // eGreedy batches then mix both row kinds.
+  for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kExploit,
+                          PolicyKind::kEpsGreedy, PolicyKind::kTs}) {
+    SCOPED_TRACE(PolicyKindName(kind));
+    auto policy = MakePolicy(kind, &f.instance, params, /*seed=*/11);
+    auto* linear = dynamic_cast<LinearPolicyBase*>(policy.get());
+    ASSERT_NE(linear, nullptr);
+    Pcg64 learn_rng(404);
+    for (std::int64_t t = 1; t <= 200; ++t) {
+      RoundContext round;
+      round.contexts = RandomContexts(kEvents, kDim, learn_rng);
+      round.user_capacity = 3;
+      const Arrangement a = {static_cast<EventId>(t % kEvents),
+                             static_cast<EventId>((t + 7) % kEvents),
+                             static_cast<EventId>((t + 19) % kEvents)};
+      Feedback fb(a.size());
+      for (auto& r : fb) {
+        r = static_cast<std::uint8_t>(UniformInt(learn_rng, 0, 1));
+      }
+      linear->Learn(t, round, a, fb);
+    }
+    const auto snapshot = linear->MakeSnapshot();
+    ASSERT_TRUE(snapshot->factor_healthy);
+
+    Matrix batch(kUsers, kEvents);
+    std::vector<RowResolve> batch_resolve(kUsers, RowResolve::kGreedy);
+    linear->ScoreBatchSnapshot(*snapshot, rows, &batch, batch_resolve);
+    std::size_t explored = 0;
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      Matrix alone(1, kEvents);
+      std::vector<RowResolve> alone_resolve(1, RowResolve::kGreedy);
+      linear->ScoreBatchSnapshot(*snapshot,
+                                 std::span<const SnapshotRound>(&rows[i], 1),
+                                 &alone, alone_resolve);
+      EXPECT_EQ(batch_resolve[i], alone_resolve[0]) << "user " << i;
+      EXPECT_EQ(std::memcmp(batch.Row(i).data(), alone.Row(0).data(),
+                            kEvents * sizeof(double)),
+                0)
+          << "user " << i;
+      if (batch_resolve[i] == RowResolve::kRandom) ++explored;
+    }
+    for (std::size_t v = 0; v < kEvents; v += 3) {
+      EXPECT_EQ(batch(2, v), kExcludedScore) << "masked event " << v;
+    }
+    if (kind == PolicyKind::kEpsGreedy) {
+      EXPECT_GT(explored, 0u);
+      EXPECT_LT(explored, kUsers);
+    }
+    if (kind != PolicyKind::kUcb) continue;
+    // UCB's rows are the sequential batched Propose's scores against the
+    // ridge the snapshot was taken from.
+    const RidgeState& ridge = linear->ridge();
+    std::vector<double> pred(kEvents), width(kEvents), expected(kEvents);
+    for (std::size_t i = 0; i < kUsers; ++i) {
+      ridge.PredictBatch(users[i].contexts, pred);
+      ridge.ConfidenceWidthSqBatch(users[i].contexts, width);
+      for (std::size_t v = 0; v < kEvents; ++v) {
+        expected[v] = pred[v] + params.alpha * std::sqrt(width[v]);
+      }
+      ApplyAvailabilityMask(users[i], expected);
+      EXPECT_EQ(std::memcmp(batch.Row(i).data(), expected.data(),
+                            kEvents * sizeof(double)),
+                0)
+          << "user " << i;
+    }
+  }
+}
 
 TEST(TsRobustnessTest, CorruptYDegradesBatchedProposalInsteadOfAborting) {
   Fixture f = Fixture::Make(12, 5, 3);

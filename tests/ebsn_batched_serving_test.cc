@@ -1,6 +1,7 @@
 // Snapshot-read batched serving: mode exclusion, seed-for-seed parity
 // with the sequential protocol, ticket-order capacity resolution,
-// out-of-order feedback, deadline handling, and snapshot epochs.
+// out-of-order feedback, deadline handling, snapshot epochs, and what
+// the batch wait histogram measures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "datagen/synthetic.h"
 #include "ebsn/arrangement_service.h"
 #include "ebsn/event_catalog.h"
+#include "obs/metrics.h"
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
 #include "rng/seed.h"
@@ -435,6 +437,50 @@ TEST(BatchedServingTest, SnapshotEpochTracksObservations) {
     double sum = 0.0;
     for (double v : snapshot->theta_hat.span()) sum += v;
     EXPECT_DOUBLE_EQ(snapshot->theta_checksum, sum);
+  }
+}
+
+TEST(BatchedServingTest, BatchWaitEndsWhenTheBatchIsClaimed) {
+  // fasea.batch.wait_ns is queue time before the claim (DESIGN.md §8),
+  // not scoring or resolution. Scoring dominates each serve here
+  // (|V| = 2000, d = 64), and a lone arrival is claimed at once, so its
+  // recorded wait must be a small fraction of its serve latency.
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FASEA_DISABLE_METRICS";
+  SyntheticConfig config;
+  config.num_events = 2000;
+  config.dim = 64;
+  config.horizon = 10;
+  config.conflict_ratio = 0.0;  // ConflictGraph::Random is O(pairs·|V|).
+  config.seed = 31;
+  auto world = SyntheticWorld::Create(config);
+  ASSERT_TRUE(world.ok());
+  ArrangementService service(&(*world)->instance(), PolicyKind::kUcb,
+                             PolicyParams{}, /*seed=*/7);
+  service.ConfigureBatching(BatchingOptions{});
+  const Histogram* wait_hist = Metrics()->GetHistogram("fasea.batch.wait_ns");
+  const Histogram* serve_hist =
+      Metrics()->GetHistogram("fasea.serve.latency_ns");
+  for (int t = 1; t <= 3; ++t) {
+    const RoundContext round = (*world)->provider().NextRound(t);
+    const HistogramSnapshot wait0 = wait_hist->Snapshot();
+    const HistogramSnapshot serve0 = serve_hist->Snapshot();
+    auto result = service.ServeUserBatched(round.user_id,
+                                           round.user_capacity,
+                                           round.contexts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const HistogramSnapshot wait = wait_hist->Snapshot().DeltaSince(wait0);
+    const HistogramSnapshot serve =
+        serve_hist->Snapshot().DeltaSince(serve0);
+    ASSERT_EQ(wait.count, 1);
+    ASSERT_EQ(serve.count, 1);
+    EXPECT_LT(wait.sum * 10, serve.sum)
+        << "round " << t << ": wait " << wait.sum << " ns, serve "
+        << serve.sum << " ns";
+    ASSERT_TRUE(service
+                    .SubmitBatchedFeedback(
+                        result->ticket,
+                        Feedback(result->arrangement.size(), 1))
+                    .ok());
   }
 }
 

@@ -87,7 +87,20 @@ TEST(GemmAccumulateTest, BitIdenticalToSequentialKOrder) {
                              1, 1, 1},
                          {3, 4, 5},
                          {17, 9, 22},
-                         {40, 50, 8}}) {
+                         {40, 50, 8},
+                         // Every output width mod 8 (the register tile),
+                         // plus empty and single-row operands.
+                         {0, 4, 9},
+                         {1, 16, 16},
+                         {2, 9, 9},
+                         {3, 15, 15},
+                         {5, 17, 17},
+                         {4, 50, 50},
+                         {3, 11, 11},
+                         {2, 12, 12},
+                         {2, 13, 13},
+                         {2, 64, 64},
+                         {1, 7, 130}}) {
     const Matrix a = RandomMatrix(m, k, rng);
     const Matrix b = RandomMatrix(k, n, rng);
     Matrix c(m, n);
@@ -120,18 +133,33 @@ TEST(GemmAccumulateTest, AccumulatesOntoExistingC) {
 
 TEST(BatchedQuadFormTest, BitIdenticalToQuadraticFormPerRow) {
   Pcg64 rng(105);
-  Matrix at, g;  // Scratch reused across shapes, like RidgeState does.
+  Matrix at;  // Scratch reused across shapes, like RidgeState does.
   for (auto [n, d] : {std::pair<std::size_t, std::size_t>{1, 3},
                       {10, 5},
                       {33, 16},
-                      {100, 7}}) {
+                      {100, 7},
+                      // Every d mod 8 (the register tile), empty and
+                      // single-row batches, and a d past the kernel's
+                      // on-stack G row.
+                      {0, 8},
+                      {1, 9},
+                      {7, 15},
+                      {5, 16},
+                      {9, 17},
+                      {4, 50},
+                      {3, 64},
+                      {2, 11},
+                      {2, 12},
+                      {2, 13},
+                      {2, 22},
+                      {1, 200}}) {
     // A deliberately non-symmetric square matrix: the kernel must match
     // QuadraticForm's row-major traversal, not rely on symmetry (the
     // maintained Y⁻¹ is symmetric only up to rounding).
     const Matrix a = RandomMatrix(d, d, rng);
     const Matrix x = RandomMatrix(n, d, rng);
     std::vector<double> out(n);
-    BatchedQuadForm(x, a, out, &at, &g);
+    BatchedQuadForm(x, a, out, &at);
     for (std::size_t v = 0; v < n; ++v) {
       EXPECT_EQ(out[v], a.QuadraticForm(x.Row(v))) << "row " << v;
     }
