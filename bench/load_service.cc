@@ -53,8 +53,23 @@ namespace {
 struct WorkerTotals {
   std::int64_t served = 0;
   std::int64_t contention_retries = 0;
+  std::int64_t arranged = 0;  // Events proposed across served rounds.
   std::int64_t accepted = 0;
   std::int64_t retries_exhausted = 0;
+
+  void Add(const WorkerTotals& other) {
+    served += other.served;
+    contention_retries += other.contention_retries;
+    arranged += other.arranged;
+    accepted += other.accepted;
+    retries_exhausted += other.retries_exhausted;
+  }
+  /// Accepted events per arranged event (perfbench's `accept_ratio`).
+  double AcceptRatio() const {
+    return arranged > 0 ? static_cast<double>(accepted) /
+                              static_cast<double>(arranged)
+                        : 0.0;
+  }
 };
 
 struct PhaseResult {
@@ -149,6 +164,7 @@ PhaseResult RunPhase(fasea::ArrangementService& service,
             return;
           }
           ++mine.served;
+          mine.arranged += static_cast<std::int64_t>(arrangement.size());
           mine.accepted += NumAccepted(feedback);
           completed.fetch_add(1, std::memory_order_relaxed);
         }
@@ -159,12 +175,7 @@ PhaseResult RunPhase(fasea::ArrangementService& service,
   wall.Stop();
 
   PhaseResult result;
-  for (const WorkerTotals& t : totals) {
-    result.sum.served += t.served;
-    result.sum.contention_retries += t.contention_retries;
-    result.sum.accepted += t.accepted;
-    result.sum.retries_exhausted += t.retries_exhausted;
-  }
+  for (const WorkerTotals& t : totals) result.sum.Add(t);
   result.aborted = aborted.load();
   result.seconds = wall.ElapsedSeconds();
   return result;
@@ -252,6 +263,8 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
             return;
           }
           ++mine.served;
+          mine.arranged +=
+              static_cast<std::int64_t>(served->arrangement.size());
           mine.accepted += NumAccepted(feedback);
           shard_served[static_cast<std::size_t>(served->home_shard)]
               .fetch_add(1, std::memory_order_relaxed);
@@ -264,12 +277,7 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
   wall.Stop();
 
   WorkerTotals sum;
-  for (const WorkerTotals& t : totals) {
-    sum.served += t.served;
-    sum.contention_retries += t.contention_retries;
-    sum.accepted += t.accepted;
-    sum.retries_exhausted += t.retries_exhausted;
-  }
+  for (const WorkerTotals& t : totals) sum.Add(t);
   if (aborted.load()) {
     std::fprintf(stderr,
                  "load_service: aborted after %lld/%lld rounds "
@@ -290,11 +298,7 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
   std::printf("  wall seconds               %.3f\n", seconds);
   std::printf("  throughput                 %.0f rounds/s\n",
               seconds > 0 ? static_cast<double>(sum.served) / seconds : 0.0);
-  std::printf("  accept ratio               %.4f\n",
-              sum.served > 0
-                  ? static_cast<double>(sum.accepted) /
-                        static_cast<double>(sum.served)
-                  : 0.0);
+  std::printf("  accept ratio               %.4f\n", sum.AcceptRatio());
   std::printf("  contention retries         %lld\n",
               static_cast<long long>(sum.contention_retries));
   std::printf("  retry budgets exhausted    %lld\n",
@@ -515,11 +519,7 @@ int main(int argc, char** argv) {
   std::printf("  wall seconds               %.3f\n", seconds);
   std::printf("  throughput                 %.0f rounds/s\n",
               seconds > 0 ? static_cast<double>(sum.served) / seconds : 0.0);
-  std::printf("  accept ratio               %.4f\n",
-              sum.served > 0
-                  ? static_cast<double>(sum.accepted) /
-                        static_cast<double>(sum.served)
-                  : 0.0);
+  std::printf("  accept ratio               %.4f\n", sum.AcceptRatio());
   std::printf("  contention retries         %lld\n",
               static_cast<long long>(sum.contention_retries));
   std::printf("  retry budgets exhausted    %lld\n",

@@ -90,9 +90,9 @@ BENCHMARK(BM_RandomRound) FASEA_POLICY_ARGS;
 // --- Propose-only, batched kernels vs the scalar reference
 // (ScoringMode::kScalar) side by side. 64 warm-up learning rounds make Y,
 // θ̂, and TS's maintained factor representative before timing starts; the
-// timed loop never Learns, so the pairs isolate the scoring path the
-// batching PR targets. tools/bench_snapshot.sh derives the UCB d=50 and
-// TS d≥30 speedups in BENCH_PR4.json from these.
+// timed loop never Learns, so the pairs isolate the batched scoring
+// path. The UCB d=50 and TS d≥30 speedups frozen in BENCH_PR4.json came
+// from these pairs.
 void RunProposeOnly(benchmark::State& state, PolicyKind kind,
                     bool scalar_scoring) {
   const std::size_t num_events = static_cast<std::size_t>(state.range(0));

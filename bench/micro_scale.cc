@@ -1,8 +1,8 @@
 // Bounded-scale bench: pushes |V| and d one to two orders of magnitude
 // past the paper's Table 5/6 sweeps (|V| <= 1000, d <= 50) using the
 // epoch learner, the frequent-directions sketch and the lazy context
-// pipeline, and prints machine-parseable `[scale] key=value` lines that
-// tools/bench_snapshot.sh folds into BENCH_PR9.json.
+// pipeline, and prints machine-parseable `[scale] key=value` lines
+// (BENCH_PR9.json holds an earlier revision's snapshot of them).
 //
 //   micro_scale             full sweep (|V|, d, epoch-apply sections)
 //   micro_scale --parity    small lazy-vs-eager + unit-epoch equivalence

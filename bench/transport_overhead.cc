@@ -1,22 +1,24 @@
 // Transport overhead: the same closed-loop sharded workload driven
-// twice — once through in-process calls, once over the simulated
+// twice — once on the loopback (no network attached: every protocol
+// step calls the shard's handler directly), once over the simulated
 // message network (ConfigureTransport) — and the per-round cost gap
 // between them.
 //
-// The loop is single-threaded on purpose: the transport path serializes
+// The loop is single-threaded on purpose: the network path serializes
 // behind the service's internal mutex, so one driver measures exactly
 // the per-round pipeline (envelope codec, fault dice, pump, replay
 // cache) with no contention noise, and the run is bit-reproducible per
-// seed. On a clean fabric both modes produce identical arrangements and
-// capacity consumption (the bench checks round counts agree); the gap
-// is therefore pure transport cost. --net_schedule arms a lossy fabric
-// for the wire mode to show the retry/timeout amplification on top.
+// seed. Both modes run the same protocol code, and on a clean fabric
+// they produce identical arrangements and capacity consumption (the
+// bench checks round counts agree); the ratio is therefore the
+// simulated network's cost over the same protocol. --net_schedule arms
+// a lossy fabric for the wire mode to show the retry/timeout
+// amplification on top.
 //
 //   transport_overhead --rounds=2000 --shards=4
 //   transport_overhead --net_schedule="drop_rate=0.1;dup_rate=0.1"
 //
-// Machine-readable "[transport]" lines feed tools/bench_snapshot.sh's
-// BENCH_PR10.json section.
+// The "[transport]" lines are machine-readable (key=value).
 #include <cstdio>
 #include <string>
 
@@ -139,15 +141,15 @@ int main(int argc, char** argv) {
                   ? "clean"
                   : flags.GetString("net_schedule").c_str());
 
-  // Mode 1: in-process calls, the §12 baseline.
-  ModeResult direct;
+  // Mode 1: the loopback, the §12 baseline.
+  ModeResult loopback;
   {
     ShardedArrangementService service(&(*world)->instance(), options);
-    direct = DriveRounds(service, **world, rounds, seed);
+    loopback = DriveRounds(service, **world, rounds, seed);
   }
-  if (!direct.ok) return 1;
+  if (!loopback.ok) return 1;
 
-  // Mode 2: the same protocol as typed envelopes over the simulated
+  // Mode 2: the same protocol as envelopes over the simulated
   // network. The network must outlive the service (the servers
   // unregister on destruction), hence the declaration order.
   ModeResult wired;
@@ -178,22 +180,23 @@ int main(int argc, char** argv) {
     dup_suppressed = service.TransportDupSuppressed();
   }
   if (!wired.ok) return 1;
-  if (direct.served != wired.served) {
+  if (loopback.served != wired.served) {
     std::fprintf(stderr,
                  "transport_overhead: mode round counts diverged "
                  "(%lld vs %lld)\n",
-                 static_cast<long long>(direct.served),
+                 static_cast<long long>(loopback.served),
                  static_cast<long long>(wired.served));
     return 1;
   }
 
-  const double ratio =
-      NsPerRound(direct) > 0 ? NsPerRound(wired) / NsPerRound(direct) : 0.0;
+  const double ratio = NsPerRound(loopback) > 0
+                           ? NsPerRound(wired) / NsPerRound(loopback)
+                           : 0.0;
   std::printf("\nresults:\n");
-  std::printf("  in-process   %10.0f ns/round  %8.0f rounds/s  "
+  std::printf("  loopback     %10.0f ns/round  %8.0f rounds/s  "
               "(%lld cross-shard)\n",
-              NsPerRound(direct), RoundsPerSec(direct),
-              static_cast<long long>(direct.cross_shard));
+              NsPerRound(loopback), RoundsPerSec(loopback),
+              static_cast<long long>(loopback.cross_shard));
   std::printf("  simulated    %10.0f ns/round  %8.0f rounds/s  "
               "(%lld cross-shard)\n",
               NsPerRound(wired), RoundsPerSec(wired),
@@ -211,11 +214,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(timeouts),
               static_cast<long long>(dup_suppressed));
 
-  std::printf("[transport] mode=in_process rounds=%lld ns_per_round=%.0f "
+  std::printf("[transport] mode=loopback rounds=%lld ns_per_round=%.0f "
               "rounds_per_s=%.0f cross_shard=%lld\n",
-              static_cast<long long>(direct.served), NsPerRound(direct),
-              RoundsPerSec(direct),
-              static_cast<long long>(direct.cross_shard));
+              static_cast<long long>(loopback.served), NsPerRound(loopback),
+              RoundsPerSec(loopback),
+              static_cast<long long>(loopback.cross_shard));
   std::printf("[transport] mode=simulated_net rounds=%lld ns_per_round=%.0f "
               "rounds_per_s=%.0f cross_shard=%lld messages=%lld "
               "dropped=%lld retries=%lld timeouts=%lld dup_suppressed=%lld\n",

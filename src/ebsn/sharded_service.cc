@@ -1,6 +1,8 @@
 #include "ebsn/sharded_service.h"
 
 #include <algorithm>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/bytes.h"
@@ -15,21 +17,26 @@ namespace {
 
 /// Serve failures a spillover stage may swallow (the stage is skipped,
 /// the round goes on with fewer events): a busy participant pipeline, a
-/// shed request, a draining shard.
+/// shed request, a draining shard, a refused reservation, a lost
+/// message.
 bool IsRetryableServe(StatusCode code) {
   return code == StatusCode::kFailedPrecondition ||
          code == StatusCode::kResourceExhausted ||
          code == StatusCode::kUnavailable;
 }
 
-// --- Transport body codecs ----------------------------------------------
-//
-// Envelope bodies of the shard protocol. Deliberately boring: fixed
-// little-endian fields via common/bytes.h, the InteractionRecord codec
-// of the WAL for round payloads (always the LAST field, so it decodes
-// from the reader's remainder).
-
-void AppendMatrix(std::string* out, const Matrix& m) {
+// Wire fields of the protocol messages: an i64, a shard index (u32),
+// an event-id list (u32 count, then u32 ids) and a matrix (u32 rows,
+// u32 cols, then row-major doubles).
+void WriteField(std::string* out, std::int64_t v) { AppendI64(out, v); }
+void WriteField(std::string* out, int v) {
+  AppendU32(out, static_cast<std::uint32_t>(v));
+}
+void WriteField(std::string* out, const Arrangement& events) {
+  AppendU32(out, static_cast<std::uint32_t>(events.size()));
+  for (EventId v : events) AppendU32(out, v);
+}
+void WriteField(std::string* out, const Matrix& m) {
   AppendU32(out, static_cast<std::uint32_t>(m.rows()));
   AppendU32(out, static_cast<std::uint32_t>(m.cols()));
   for (std::size_t i = 0; i < m.rows(); ++i) {
@@ -37,88 +44,153 @@ void AppendMatrix(std::string* out, const Matrix& m) {
   }
 }
 
-StatusOr<Matrix> ReadMatrix(ByteReader& reader) {
+Status ReadField(ByteReader& reader, std::int64_t* out) {
+  auto v = reader.ReadI64();
+  if (!v.ok()) return v.status();
+  *out = *v;
+  return Status::Ok();
+}
+Status ReadField(ByteReader& reader, int* out) {
+  auto v = reader.ReadU32();
+  if (!v.ok()) return v.status();
+  *out = static_cast<int>(*v);
+  return Status::Ok();
+}
+Status ReadField(ByteReader& reader, Arrangement* out) {
+  auto n = reader.ReadU32();
+  if (!n.ok()) return n.status();
+  out->reserve(*n);
+  for (std::uint32_t i = 0; i < *n; ++i) {
+    auto v = reader.ReadU32();
+    if (!v.ok()) return v.status();
+    out->push_back(*v);
+  }
+  return Status::Ok();
+}
+Status ReadField(ByteReader& reader, Matrix* out) {
   auto rows = reader.ReadU32();
   if (!rows.ok()) return rows.status();
   auto cols = reader.ReadU32();
   if (!cols.ok()) return cols.status();
-  Matrix m(*rows, *cols);
+  *out = Matrix(*rows, *cols);
   for (std::uint32_t i = 0; i < *rows; ++i) {
-    auto row = m.Row(i);
+    auto row = out->Row(i);
     for (std::uint32_t j = 0; j < *cols; ++j) {
       auto v = reader.ReadDouble();
       if (!v.ok()) return v.status();
       row[j] = *v;
     }
   }
-  return m;
+  return Status::Ok();
 }
 
-struct ServeRequestBody {
+template <typename... Fields>
+std::string WriteFields(const Fields&... fields) {
+  std::string out;
+  (WriteField(&out, fields), ...);
+  return out;
+}
+
+/// Reads the fields in wire order, stopping at the first failure.
+template <typename... Fields>
+Status ReadFields(ByteReader& reader, Fields*... fields) {
+  Status st = Status::Ok();
+  (void)((st = ReadField(reader, fields)).ok() && ...);
+  return st;
+}
+
+// COMMIT carries its two halves behind a leading flag byte: the
+// coordinator's decision (the commit point) and the per-stage portion
+// application.
+constexpr std::uint8_t kCommitDecision = 0;
+constexpr std::uint8_t kCommitPortion = 1;
+
+// QUERY-DECISION answers.
+constexpr std::uint8_t kNoDecision = 0;  // Presumed abort.
+constexpr std::uint8_t kCommitted = 1;
+constexpr std::uint8_t kMidCommit = 2;  // Ask again.
+
+}  // namespace
+
+// --- Protocol messages ---------------------------------------------------
+//
+// One typed request (and reply) per protocol step. The loopback hands
+// them to the shard's handler as they are; the byte codecs run only at
+// the network boundary (Call's network branch and the ShardServer
+// methods). Deliberately boring wire format: fixed little-endian fields
+// via common/bytes.h, the WAL's InteractionRecord codec for round
+// payloads (always the LAST field, so it decodes from the remainder).
+
+/// The empty reply of a portion COMMIT, ABORT and MIGRATE.
+struct ShardedArrangementService::Ack {
+  std::string Encode() const { return std::string(); }
+  static StatusOr<Ack> Decode(std::string_view) { return Ack{}; }
+};
+
+struct ShardedArrangementService::ServeReply {
+  std::int64_t coordinator_round = 0;
+  Arrangement local_events;
+
+  std::string Encode() const {
+    return WriteFields(coordinator_round, local_events);
+  }
+  static StatusOr<ServeReply> Decode(std::string_view bytes) {
+    ByteReader reader(bytes, "serve response: truncated body");
+    ServeReply reply;
+    Status st =
+        ReadFields(reader, &reply.coordinator_round, &reply.local_events);
+    if (!st.ok()) return st;
+    return reply;
+  }
+};
+
+/// SERVE: the home shard opens the coordinator round.
+struct ShardedArrangementService::ServeRequest {
+  using Reply = ServeReply;
+  static constexpr MessageKind kKind = MessageKind::kServe;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleServe;
+
   std::int64_t user_id = 0;
   std::int64_t user_capacity = 0;
   std::int64_t lease_expiry = 0;
   Matrix contexts;  // The home shard's context submatrix.
 
   std::string Encode() const {
-    std::string out;
-    AppendI64(&out, user_id);
-    AppendI64(&out, user_capacity);
-    AppendI64(&out, lease_expiry);
-    AppendMatrix(&out, contexts);
-    return out;
+    return WriteFields(user_id, user_capacity, lease_expiry, contexts);
   }
-  static StatusOr<ServeRequestBody> Decode(std::string_view bytes) {
+  static StatusOr<ServeRequest> Decode(std::string_view bytes) {
     ByteReader reader(bytes, "serve request: truncated body");
-    ServeRequestBody body;
-    auto user = reader.ReadI64();
-    if (!user.ok()) return user.status();
-    body.user_id = *user;
-    auto cap = reader.ReadI64();
-    if (!cap.ok()) return cap.status();
-    body.user_capacity = *cap;
-    auto lease = reader.ReadI64();
-    if (!lease.ok()) return lease.status();
-    body.lease_expiry = *lease;
-    auto m = ReadMatrix(reader);
-    if (!m.ok()) return m.status();
-    body.contexts = std::move(m).value();
-    return body;
+    ServeRequest request;
+    Status st = ReadFields(reader, &request.user_id, &request.user_capacity,
+                           &request.lease_expiry, &request.contexts);
+    if (!st.ok()) return st;
+    return request;
   }
 };
 
-struct ServeResponseBody {
-  std::int64_t coordinator_round = 0;
-  Arrangement local_events;
+struct ShardedArrangementService::ReserveReply {
+  std::int64_t local_round = 0;
+  Arrangement global_events;  // Empty: nothing reserved.
 
-  std::string Encode() const {
-    std::string out;
-    AppendI64(&out, coordinator_round);
-    AppendU32(&out, static_cast<std::uint32_t>(local_events.size()));
-    for (EventId v : local_events) AppendU32(&out, v);
-    return out;
-  }
-  static StatusOr<ServeResponseBody> Decode(std::string_view bytes) {
-    ByteReader reader(bytes, "serve response: truncated body");
-    ServeResponseBody body;
-    auto round = reader.ReadI64();
-    if (!round.ok()) return round.status();
-    body.coordinator_round = *round;
-    auto n = reader.ReadU32();
-    if (!n.ok()) return n.status();
-    body.local_events.reserve(*n);
-    for (std::uint32_t i = 0; i < *n; ++i) {
-      auto v = reader.ReadU32();
-      if (!v.ok()) return v.status();
-      body.local_events.push_back(*v);
-    }
-    return body;
+  std::string Encode() const { return WriteFields(local_round, global_events); }
+  static StatusOr<ReserveReply> Decode(std::string_view bytes) {
+    ByteReader reader(bytes, "reserve response: truncated body");
+    ReserveReply reply;
+    Status st = ReadFields(reader, &reply.local_round, &reply.global_events);
+    if (!st.ok()) return st;
+    return reply;
   }
 };
 
-struct ReserveRequestBody {
+/// RESERVE (phase 1): a participant proposes a spillover portion and
+/// durably reserves it.
+struct ShardedArrangementService::ReserveRequest {
+  using Reply = ReserveReply;
+  static constexpr MessageKind kKind = MessageKind::kReserve;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleReserve;
+
   std::int64_t user_id = 0;
-  std::int64_t remaining = 0;     // Capacity left for this stage.
+  std::int64_t remaining = 0;  // Capacity left for this stage.
   std::int64_t lease_expiry = 0;
   int coordinator_shard = 0;
   std::int64_t coordinator_round = 0;
@@ -126,86 +198,39 @@ struct ReserveRequestBody {
   Matrix contexts;     // The participant's context submatrix.
 
   std::string Encode() const {
-    std::string out;
-    AppendI64(&out, user_id);
-    AppendI64(&out, remaining);
-    AppendI64(&out, lease_expiry);
-    AppendU32(&out, static_cast<std::uint32_t>(coordinator_shard));
-    AppendI64(&out, coordinator_round);
-    AppendU32(&out, static_cast<std::uint32_t>(chosen.size()));
-    for (EventId v : chosen) AppendU32(&out, v);
-    AppendMatrix(&out, contexts);
-    return out;
+    return WriteFields(user_id, remaining, lease_expiry, coordinator_shard,
+                       coordinator_round, chosen, contexts);
   }
-  static StatusOr<ReserveRequestBody> Decode(std::string_view bytes) {
+  static StatusOr<ReserveRequest> Decode(std::string_view bytes) {
     ByteReader reader(bytes, "reserve request: truncated body");
-    ReserveRequestBody body;
-    auto user = reader.ReadI64();
-    if (!user.ok()) return user.status();
-    body.user_id = *user;
-    auto remaining = reader.ReadI64();
-    if (!remaining.ok()) return remaining.status();
-    body.remaining = *remaining;
-    auto lease = reader.ReadI64();
-    if (!lease.ok()) return lease.status();
-    body.lease_expiry = *lease;
-    auto coord = reader.ReadU32();
-    if (!coord.ok()) return coord.status();
-    body.coordinator_shard = static_cast<int>(*coord);
-    auto round = reader.ReadI64();
-    if (!round.ok()) return round.status();
-    body.coordinator_round = *round;
-    auto n = reader.ReadU32();
-    if (!n.ok()) return n.status();
-    body.chosen.reserve(*n);
-    for (std::uint32_t i = 0; i < *n; ++i) {
-      auto v = reader.ReadU32();
-      if (!v.ok()) return v.status();
-      body.chosen.push_back(*v);
-    }
-    auto m = ReadMatrix(reader);
-    if (!m.ok()) return m.status();
-    body.contexts = std::move(m).value();
-    return body;
+    ReserveRequest request;
+    Status st = ReadFields(reader, &request.user_id, &request.remaining,
+                           &request.lease_expiry, &request.coordinator_shard,
+                           &request.coordinator_round, &request.chosen,
+                           &request.contexts);
+    if (!st.ok()) return st;
+    return request;
   }
 };
 
-struct ReserveResponseBody {
-  std::int64_t local_round = 0;
-  Arrangement global_events;  // Already mapped by the participant.
+struct ShardedArrangementService::DecisionReply {
+  bool durable = false;  // The DECISION frame reached the WAL.
 
-  std::string Encode() const {
-    std::string out;
-    AppendI64(&out, local_round);
-    AppendU32(&out, static_cast<std::uint32_t>(global_events.size()));
-    for (EventId v : global_events) AppendU32(&out, v);
-    return out;
-  }
-  static StatusOr<ReserveResponseBody> Decode(std::string_view bytes) {
-    ByteReader reader(bytes, "reserve response: truncated body");
-    ReserveResponseBody body;
-    auto round = reader.ReadI64();
-    if (!round.ok()) return round.status();
-    body.local_round = *round;
-    auto n = reader.ReadU32();
-    if (!n.ok()) return n.status();
-    body.global_events.reserve(*n);
-    for (std::uint32_t i = 0; i < *n; ++i) {
-      auto v = reader.ReadU32();
-      if (!v.ok()) return v.status();
-      body.global_events.push_back(*v);
-    }
-    return body;
+  std::string Encode() const { return std::string(1, durable ? '\1' : '\0'); }
+  static StatusOr<DecisionReply> Decode(std::string_view bytes) {
+    DecisionReply reply;
+    reply.durable = !bytes.empty() && bytes[0] != '\0';
+    return reply;
   }
 };
 
-// COMMIT carries two sub-kinds behind a leading flag byte: the
-// coordinator's decision (the commit point) and the per-shard portion
-// application.
-constexpr std::uint8_t kCommitDecision = 0;
-constexpr std::uint8_t kCommitPortion = 1;
+/// COMMIT, decision half: the coordinator appends and indexes the
+/// decision — the transaction's commit point.
+struct ShardedArrangementService::DecisionRequest {
+  using Reply = DecisionReply;
+  static constexpr MessageKind kKind = MessageKind::kCommit;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleDecision;
 
-struct CommitDecisionBody {
   InteractionRecord record;  // Global ids, the full round.
 
   std::string Encode() const {
@@ -214,57 +239,125 @@ struct CommitDecisionBody {
     out += EncodeInteractionRecord(record);
     return out;
   }
+  static StatusOr<DecisionRequest> Decode(std::string_view bytes) {
+    if (bytes.empty() ||
+        static_cast<std::uint8_t>(bytes[0]) != kCommitDecision) {
+      return InvalidArgumentError("malformed commit body");
+    }
+    auto record = DecodeInteractionRecord(bytes.substr(1));
+    if (!record.ok()) return record.status();
+    DecisionRequest request;
+    request.record = std::move(record).value();
+    return request;
+  }
 };
 
-struct CommitPortionBody {
+/// COMMIT, portion half: one stage applies its slice of the round.
+struct ShardedArrangementService::PortionRequest {
+  using Reply = Ack;
+  static constexpr MessageKind kKind = MessageKind::kCommit;
+  static constexpr auto kHandler = &ShardedArrangementService::HandlePortion;
+
   bool write_frame = false;  // Durable decision && not the home slice.
-  bool is_home = false;
   InteractionRecord record;  // LOCAL ids of the current epoch.
 
   std::string Encode() const {
     std::string out;
     AppendU8(&out, kCommitPortion);
     AppendU8(&out, write_frame ? 1 : 0);
-    AppendU8(&out, is_home ? 1 : 0);
     out += EncodeInteractionRecord(record);
     return out;
   }
+  static StatusOr<PortionRequest> Decode(std::string_view bytes) {
+    if (bytes.size() < 2 ||
+        static_cast<std::uint8_t>(bytes[0]) != kCommitPortion) {
+      return InvalidArgumentError("malformed commit body");
+    }
+    auto record = DecodeInteractionRecord(bytes.substr(2));
+    if (!record.ok()) return record.status();
+    PortionRequest request;
+    request.write_frame = bytes[1] != 0;
+    request.record = std::move(record).value();
+    return request;
+  }
 };
 
-struct QueryResponseBody {
-  // 0 = no decision (presumed abort), 1 = committed, 2 = still
-  // mid-commit, ask again.
-  std::uint8_t outcome = 0;
-  bool durable = false;
-  InteractionRecord record;  // Set when outcome == 1.
+/// ABORT: a shard rolls back its stage of the transaction.
+struct ShardedArrangementService::AbortRequest {
+  using Reply = Ack;
+  static constexpr MessageKind kKind = MessageKind::kAbort;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleAbort;
+
+  std::string Encode() const { return std::string(); }
+  static StatusOr<AbortRequest> Decode(std::string_view) {
+    return AbortRequest{};
+  }
+};
+
+struct ShardedArrangementService::QueryReply {
+  std::uint8_t outcome = kNoDecision;
+  InteractionRecord record;  // Set when outcome == kCommitted.
 
   std::string Encode() const {
     std::string out;
     AppendU8(&out, outcome);
-    AppendU8(&out, durable ? 1 : 0);
-    if (outcome == 1) out += EncodeInteractionRecord(record);
+    if (outcome == kCommitted) out += EncodeInteractionRecord(record);
     return out;
   }
-  static StatusOr<QueryResponseBody> Decode(std::string_view bytes) {
-    ByteReader reader(bytes, "query response: truncated body");
-    QueryResponseBody body;
-    auto outcome = reader.ReadU8();
-    if (!outcome.ok()) return outcome.status();
-    body.outcome = *outcome;
-    auto durable = reader.ReadU8();
-    if (!durable.ok()) return durable.status();
-    body.durable = *durable != 0;
-    if (body.outcome == 1) {
-      auto record =
-          DecodeInteractionRecord(bytes.substr(reader.position()));
-      if (!record.ok()) return record.status();
-      body.record = std::move(record).value();
+  static StatusOr<QueryReply> Decode(std::string_view bytes) {
+    if (bytes.empty()) {
+      return InvalidArgumentError("query response: truncated body");
     }
-    return body;
+    QueryReply reply;
+    reply.outcome = static_cast<std::uint8_t>(bytes[0]);
+    if (reply.outcome == kCommitted) {
+      auto record = DecodeInteractionRecord(bytes.substr(1));
+      if (!record.ok()) return record.status();
+      reply.record = std::move(record).value();
+    }
+    return reply;
   }
 };
 
-}  // namespace
+/// QUERY-DECISION: "did txn T commit?", asked of its coordinator.
+struct ShardedArrangementService::QueryRequest {
+  using Reply = QueryReply;
+  static constexpr MessageKind kKind = MessageKind::kQueryDecision;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleQuery;
+
+  /// Lease expiry: abort an undecided transaction for good.
+  bool force = false;
+
+  std::string Encode() const { return std::string(1, force ? '\1' : '\0'); }
+  static StatusOr<QueryRequest> Decode(std::string_view bytes) {
+    QueryRequest request;
+    request.force = !bytes.empty() && bytes[0] != 0;
+    return request;
+  }
+};
+
+/// MIGRATE: the rebalance's WAL-segment handoff to a new owner.
+struct ShardedArrangementService::MigrateRequest {
+  using Reply = Ack;
+  static constexpr MessageKind kKind = MessageKind::kMigrate;
+  static constexpr auto kHandler = &ShardedArrangementService::HandleMigrate;
+
+  std::string frame;  // The MIGRATE WAL frame itself.
+
+  std::string Encode() const { return frame; }
+  static StatusOr<MigrateRequest> Decode(std::string_view bytes) {
+    MigrateRequest request;
+    request.frame = std::string(bytes);
+    return request;
+  }
+};
+
+struct ShardedArrangementService::UndeliveredPortion {
+  int shard = 0;
+  std::uint64_t txn = 0;
+  std::uint64_t trace_id = 0;
+  PortionRequest request;
+};
 
 std::string ShardRecoveryReport::ToString() const {
   return StrFormat(
@@ -531,24 +624,9 @@ std::vector<std::uint8_t> ShardedArrangementService::SpilloverMask(
   return mask;
 }
 
-void ShardedArrangementService::AbortOpenPortions(const PendingTxn& pending,
-                                                  std::uint64_t txn) {
-  for (const Portion& portion : pending.portions) {
-    Shard& s = *shards_[static_cast<std::size_t>(portion.shard)];
-    if (s.service != nullptr) (void)s.service->AbortPendingRound();
-    if (portion.shard != pending.home) {
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      s.open_reservations.erase(txn);
-    }
-  }
-}
-
 StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
     std::int64_t user_id, std::int64_t user_capacity,
     const ContextMatrix& contexts) {
-  if (net_ != nullptr) {
-    return ServeUserTransport(user_id, user_capacity, contexts);
-  }
   if (contexts.rows() != instance_->num_events() ||
       contexts.cols() != instance_->dim()) {
     return InvalidArgumentError(StrFormat(
@@ -556,6 +634,7 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
         contexts.rows(), contexts.cols(), instance_->num_events(),
         instance_->dim()));
   }
+  const std::unique_lock<std::mutex> net_lock = LockNetwork();
   const std::uint64_t txn =
       next_txn_.fetch_add(1, std::memory_order_relaxed);
   // The transaction's correlation id: deterministic, so recovery and
@@ -563,14 +642,14 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   const std::uint64_t trace_id = Mix64(txn);
   const int home =
       router().HomeShard(user_id, static_cast<std::int64_t>(txn - 1),
-                        options_.routing);
-  Shard& h = *shards_[static_cast<std::size_t>(home)];
-  if (h.service == nullptr) {
+                         options_.routing);
+  if (!shard_alive(home)) {
     return UnavailableError(
         StrFormat("home shard %d is down; retry (the next arrival routes "
                   "elsewhere)",
                   home));
   }
+  const std::int64_t lease = LeaseExpiry();
 
   PendingTxn pending;
   pending.home = home;
@@ -578,20 +657,23 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   pending.user_id = user_id;
   pending.user_capacity = user_capacity;
 
-  // Stage 0: the coordinator proposes from its own partition.
+  // Stage 0: the coordinator proposes from its own partition. A lost
+  // SERVE may still have opened the stage; its lease expires it.
   Arrangement chosen;  // Global ids.
   {
     TraceSpan span("txn.coordinate", static_cast<std::int64_t>(txn),
                    TraceRing::Global(), nullptr, trace_id);
-    h.service->SetNextRoundTrace(txn, trace_id);
-    auto local =
-        h.service->ServeUser(user_id, user_capacity,
-                             GatherContexts(home, contexts));
-    if (!local.ok()) return local.status();
-    pending.coordinator_round = h.service->rounds_served();
+    ServeRequest request;
+    request.user_id = user_id;
+    request.user_capacity = user_capacity;
+    request.lease_expiry = lease;
+    request.contexts = GatherContexts(home, contexts);
+    auto reply = Call(home, txn, trace_id, request);
+    if (!reply.ok()) return reply.status();
+    pending.coordinator_round = reply->coordinator_round;
     Portion portion;
     portion.shard = home;
-    portion.local_events = std::move(local).value();
+    portion.local_events = std::move(reply->local_events);
     portion.start = 0;
     portion.local_round = pending.coordinator_round;
     portion.local_capacity = user_capacity;
@@ -599,7 +681,9 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
     pending.portions.push_back(std::move(portion));
   }
 
-  // Spillover: ring order after the home, while capacity remains.
+  // Spillover: RESERVE in ring order after the home while capacity
+  // remains. A busy, refused or lost stage is skipped (a lease cleans up
+  // whatever a lost one did); the round goes on with fewer events.
   std::int64_t remaining =
       user_capacity - static_cast<std::int64_t>(chosen.size());
   int budget = options_.max_participant_shards < 0
@@ -610,72 +694,48 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   for (int k = 1;
        k < options_.num_shards && budget > 0 && remaining > 0; ++k) {
     const int sid = (home + k) % options_.num_shards;
-    Shard& s = *shards_[static_cast<std::size_t>(sid)];
-    if (s.service == nullptr || router().ShardEvents(sid).empty()) {
-      continue;
-    }
-    std::vector<std::uint8_t> mask = SpilloverMask(sid, chosen);
+    if (!shard_alive(sid) || router().ShardEvents(sid).empty()) continue;
+    const std::vector<std::uint8_t> mask = SpilloverMask(sid, chosen);
     if (std::all_of(mask.begin(), mask.end(),
                     [](std::uint8_t m) { return m == 0; })) {
       continue;  // Everything here conflicts with the chosen set.
     }
-    s.service->SetNextRoundTrace(txn, trace_id);
-    auto local = s.service->ServeUser(user_id, remaining,
-                                      GatherContexts(sid, contexts),
-                                      std::move(mask));
-    if (!local.ok()) {
-      if (IsRetryableServe(local.status().code())) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.spillover_stages_skipped;
-        continue;  // A busy/draining participant just sits this one out.
-      }
-      AbortOpenPortions(pending, txn);
-      return local.status();
-    }
-    if (local->empty()) {
-      (void)s.service->AbortPendingRound();
-      continue;
-    }
-
-    // Phase 1: the contribution only counts once the reservation is
-    // durable on the participant.
-    ReservationRecord reservation;
-    reservation.txn = txn;
-    reservation.trace_id = trace_id;
-    reservation.coordinator_shard = home;
-    reservation.coordinator_round = pending.coordinator_round;
-    reservation.user_id = user_id;
-    reservation.epoch = rebalance_epoch_;
-    reservation.events = MapToGlobal(sid, *local);
+    ReserveRequest request;
+    request.user_id = user_id;
+    request.remaining = remaining;
+    request.lease_expiry = lease;
+    request.coordinator_shard = home;
+    request.coordinator_round = pending.coordinator_round;
+    request.chosen = chosen;
+    request.contexts = GatherContexts(sid, contexts);
     TraceSpan reserve_span("txn.reserve", static_cast<std::int64_t>(txn),
                            TraceRing::Global(), nullptr, trace_id);
-    if (Status st = AppendFrameStrict(s, EncodeReserveFrame(reservation));
-        !st.ok()) {
-      (void)s.service->AbortPendingRound();
-      reservation_refusals_metric_->Increment();
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.reservation_refusals;
-      continue;
+    auto reply = Call(sid, txn, trace_id, request);
+    if (!reply.ok()) {
+      if (IsRetryableServe(reply.status().code())) {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.spillover_stages_skipped;
+        continue;
+      }
+      // Unretryable: abort every stage opened so far (best effort —
+      // leases catch whatever the network loses).
+      for (const Portion& portion : pending.portions) {
+        (void)Call(portion.shard, txn, trace_id, AbortRequest{});
+      }
+      return reply.status();
     }
-    {
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      s.open_reservations[txn] = reservation;
-    }
+    if (reply->global_events.empty()) continue;
     Portion portion;
     portion.shard = sid;
     portion.start = chosen.size();
-    portion.local_round = s.service->rounds_served();
+    portion.local_round = reply->local_round;
     portion.local_capacity = remaining;  // What this stage was asked for.
-    portion.local_events = std::move(local).value();
-    remaining -= static_cast<std::int64_t>(reservation.events.size());
-    reservations_metric_->Add(
-        static_cast<std::int64_t>(reservation.events.size()));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.reservations_made +=
-          static_cast<std::int64_t>(reservation.events.size());
+    portion.local_events.reserve(reply->global_events.size());
+    for (EventId g : reply->global_events) {
+      portion.local_events.push_back(router().LocalId(g));
+      chosen.push_back(g);
     }
-    for (EventId g : reservation.events) chosen.push_back(g);
+    remaining -= static_cast<std::int64_t>(reply->global_events.size());
     pending.portions.push_back(std::move(portion));
     --budget;
     crossed = true;
@@ -696,7 +756,7 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   ShardedServeResult result;
   result.txn = txn;
   result.home_shard = home;
-  result.arrangement = chosen;
+  result.arrangement = std::move(chosen);
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     pending_[txn] = std::move(pending);
@@ -708,9 +768,7 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
 Status ShardedArrangementService::SubmitFeedback(
     std::uint64_t txn, const Feedback& feedback,
     ShardedFeedbackResult* result) {
-  if (net_ != nullptr) {
-    return SubmitFeedbackTransport(txn, feedback, result);
-  }
+  const std::unique_lock<std::mutex> net_lock = LockNetwork();
   PendingTxn* pending = nullptr;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
@@ -718,7 +776,8 @@ Status ShardedArrangementService::SubmitFeedback(
     if (it == pending_.end()) {
       return FailedPreconditionError(StrFormat(
           "transaction %llu is not pending (never served, already "
-          "committed, or lost with a crashed coordinator)",
+          "committed, force-aborted on lease expiry, or lost with a "
+          "crashed coordinator)",
           static_cast<unsigned long long>(txn)));
     }
     if (it->second.busy) {
@@ -743,38 +802,41 @@ Status ShardedArrangementService::SubmitFeedback(
           InvalidArgumentError("feedback entries must be 0/1"));
     }
   }
-  Shard& h = *shards_[static_cast<std::size_t>(pending->home)];
-  if (h.service == nullptr) {
+  const int home_shard = pending->home;
+  if (!shard_alive(home_shard)) {
     return fail_retryable(UnavailableError("home shard is down"));
   }
 
-  InteractionRecord record;
-  record.t = pending->coordinator_round;
-  record.user_id = pending->user_id;
-  record.user_capacity = pending->user_capacity;
-  record.arrangement = pending->arrangement;
-  record.feedback = feedback;
-  record.contexts = pending->context_rows;
-
-  // Commit point: the decision frame on the coordinator's WAL. A
-  // retryable failure leaves nothing applied anywhere — reservations
-  // stay durably open and the same feedback may be resubmitted.
+  // Commit point: the decision on the coordinator. A retryable failure
+  // leaves nothing applied anywhere — reservations stay durably open and
+  // the same feedback may be resubmitted (the decision index answers a
+  // resubmit of an already-decided txn; the replay cache suppresses
+  // network duplicates).
   bool durable = false;
   {
     TraceSpan span("txn.commit", static_cast<std::int64_t>(txn),
                    TraceRing::Global(), nullptr, pending->trace_id);
-    auto outcome = AppendFrame(
-        h, EncodeDecisionFrame(txn, pending->trace_id, rebalance_epoch_,
-                               record));
-    if (!outcome.ok()) return fail_retryable(outcome.status());
-    durable = (*outcome == AppendOutcome::kDurable);
-  }
-  // From here the transaction is committed: index the decision so
-  // resolvers (live peers or recovering shards) can find it even if we
-  // die before any portion applies.
-  {
-    std::lock_guard<std::mutex> lock(h.ledger_mu);
-    h.decisions[txn] = record;
+    DecisionRequest decision;
+    decision.record.t = pending->coordinator_round;
+    decision.record.user_id = pending->user_id;
+    decision.record.user_capacity = pending->user_capacity;
+    decision.record.arrangement = pending->arrangement;
+    decision.record.feedback = feedback;
+    decision.record.contexts = pending->context_rows;
+    auto reply = Call(home_shard, txn, pending->trace_id, decision);
+    if (!reply.ok() &&
+        reply.status().code() == StatusCode::kFailedPrecondition) {
+      // The lease reaper got here first: the transaction is aborted for
+      // good, nothing was or will be applied.
+      {
+        std::lock_guard<std::mutex> lock(pending_mu_);
+        pending_.erase(txn);
+      }
+      open_reservations_gauge_->Set(static_cast<double>(OpenReservations()));
+      return reply.status();
+    }
+    if (!reply.ok()) return fail_retryable(reply.status());
+    durable = reply->durable;
   }
   if (crash_after_decision_ && crash_after_decision_(txn)) {
     // Simulated coordinator crash between the phases. The transaction
@@ -785,72 +847,36 @@ Status ShardedArrangementService::SubmitFeedback(
         "injected coordinator crash after the decision was committed");
   }
 
-  // Phase 2: apply every portion. Per shard, WAL frames precede the
-  // inner application (write-ahead), so each shard's frames carry
-  // strictly increasing round ids.
+  // Phase 2: COMMIT(portion) to every stage. A participant writes its
+  // PORTION frame — only after a durable decision, so a portion record
+  // never outlives its decision — before applying (write-ahead). A
+  // delivery the network lost parks for redelivery (at-least-once; the
+  // application is idempotent, keyed by the open stage).
   int participants = 0;
-  const int home_shard = pending->home;
   const std::int64_t home_round = pending->coordinator_round;
   for (const Portion& portion : pending->portions) {
-    Shard& s = *shards_[static_cast<std::size_t>(portion.shard)];
-    if (s.service == nullptr) {
-      // The participant died after the commit point. Its durable
-      // reservation meets the durable decision at its recovery, which
-      // applies the portion then — the transaction still commits.
-      if (portion.shard != home_shard) ++participants;
+    const bool is_home = portion.shard == home_shard;
+    if (!is_home) ++participants;
+    if (!shard_alive(portion.shard)) {
+      // The participant died after the commit point; its durable
+      // reservation meets the durable decision at its recovery.
       continue;
     }
-    Feedback fb(feedback.begin() + static_cast<std::ptrdiff_t>(portion.start),
-                feedback.begin() + static_cast<std::ptrdiff_t>(
-                                       portion.start +
-                                       portion.local_events.size()));
-    if (portion.shard != home_shard) {
-      ++participants;
-      if (durable) {
-        // Close the reservation durably. Best-effort: a lost portion
-        // frame re-resolves (to the same commit) at recovery. Never
-        // written without a durable decision — a portion record must
-        // not outlive its decision.
-        InteractionRecord local;
-        local.t = portion.local_round;
-        local.user_id = pending->user_id;
-        local.user_capacity = portion.local_capacity;
-        local.arrangement = portion.local_events;
-        local.feedback = fb;
-        local.contexts.assign(
-            pending->context_rows.begin() +
-                static_cast<std::ptrdiff_t>(portion.start),
-            pending->context_rows.begin() +
-                static_cast<std::ptrdiff_t>(portion.start +
-                                            portion.local_events.size()));
-        TraceSpan span("txn.portion", static_cast<std::int64_t>(txn),
-                       TraceRing::Global(), nullptr, pending->trace_id);
-        (void)AppendFrame(
-            s, EncodePortionFrame(txn, pending->trace_id, rebalance_epoch_,
-                                  local));
-      }
+    PortionRequest request =
+        PortionOf(*pending, portion, feedback, durable && !is_home);
+    TraceSpan span("txn.portion", static_cast<std::int64_t>(txn),
+                   TraceRing::Global(), nullptr, pending->trace_id);
+    bool lost = false;
+    auto reply = Call(portion.shard, txn, pending->trace_id, request, &lost);
+    if (lost) {
+      std::lock_guard<std::mutex> lock(undelivered_mu_);
+      undelivered_.push_back({.shard = portion.shard,
+                              .txn = txn,
+                              .trace_id = pending->trace_id,
+                              .request = std::move(request)});
+      continue;
     }
-    FeedbackResult inner;
-    if (Status st = s.service->SubmitFeedback(fb, &inner); !st.ok()) {
-      // Inner services run WAL-less, so feedback can only fail on a
-      // protocol bug (wrong pending round) — never retryably.
-      return fail_retryable(InternalError(StrFormat(
-          "shard %d portion of txn %llu failed: %s", portion.shard,
-          static_cast<unsigned long long>(txn), st.message().c_str())));
-    }
-    if (portion.shard != home_shard) {
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      s.open_reservations.erase(txn);
-    }
-    {
-      std::lock_guard<std::mutex> lock(s.obs_mu);
-      for (std::size_t i = 0; i < portion.local_events.size(); ++i) {
-        Observation obs;
-        obs.context = pending->context_rows[portion.start + i];
-        obs.reward = static_cast<double>(fb[i]);
-        s.obs.push_back(std::move(obs));
-      }
-    }
+    if (!reply.ok()) return fail_retryable(reply.status());
   }
 
   {
@@ -909,12 +935,7 @@ Status ShardedArrangementService::KillShard(int shard) {
   for (const auto& [txn, pending] : participated) {
     for (const Portion& portion : pending.portions) {
       if (portion.shard == shard) continue;
-      Shard& p = *shards_[static_cast<std::size_t>(portion.shard)];
-      if (p.service != nullptr) (void)p.service->AbortPendingRound();
-      if (portion.shard != pending.home) {
-        std::lock_guard<std::mutex> lock(p.ledger_mu);
-        p.open_reservations.erase(txn);
-      }
+      (void)HandleAbort(portion.shard, txn, pending.trace_id, AbortRequest{});
     }
   }
   // The crash: every in-memory structure is gone; the WAL survives.
@@ -942,22 +963,6 @@ Status ShardedArrangementService::KillShard(int shard) {
     s.obs.clear();
   }
   return Status::Ok();
-}
-
-InteractionRecord ShardedArrangementService::SliceForShard(
-    int shard, const InteractionRecord& record, std::int64_t t) const {
-  InteractionRecord out;
-  out.t = t;
-  out.user_id = record.user_id;
-  out.user_capacity = record.user_capacity;
-  for (std::size_t i = 0; i < record.arrangement.size(); ++i) {
-    const EventId g = record.arrangement[i];
-    if (router().OwnerShard(g) != shard) continue;
-    out.arrangement.push_back(router().LocalId(g));
-    out.feedback.push_back(record.feedback[i]);
-    out.contexts.push_back(record.contexts[i]);
-  }
-  return out;
 }
 
 InteractionRecord ShardedArrangementService::SliceForReplay(
@@ -1003,31 +1008,17 @@ StatusOr<bool> ShardedArrangementService::LookupDecision(
         StrFormat("reservation names unknown coordinator shard %d",
                   coordinator));
   }
-  // With a transport, the in-doubt re-query goes over the wire like any
-  // other protocol step — the coordinator's decision index answers. An
-  // unreachable coordinator falls through to the local paths below (the
-  // stand-in for a replicated decision log).
-  if (net_ != nullptr && net_->NodeRegistered(coordinator)) {
-    auto resp = client_->Call(MessageKind::kQueryDecision, coordinator,
-                              txn, Mix64(txn), std::string(1, '\0'));
-    if (resp.ok() && resp->ToStatus().ok()) {
-      auto body = QueryResponseBody::Decode(resp->body);
-      if (!body.ok()) return body.status();
-      if (body->outcome == 1) {
-        *out = body->record;
-        return true;
-      }
-      if (body->outcome == 0) return false;
-      // outcome == 2 (mid-commit) cannot happen here: recovery runs
-      // quiesced. Fall through to the local index to be safe.
+  if (shard_alive(coordinator)) {
+    // A live coordinator's decision index answers, like any protocol
+    // step. If the network loses the query, the index is read directly
+    // (the stand-in for a replicated decision log).
+    auto reply = Call(coordinator, txn, Mix64(txn), QueryRequest{});
+    if (!reply.ok()) {
+      reply = HandleQuery(coordinator, txn, Mix64(txn), QueryRequest{});
     }
-  }
-  const Shard& c = *shards_[static_cast<std::size_t>(coordinator)];
-  if (c.service != nullptr) {
-    std::lock_guard<std::mutex> lock(c.ledger_mu);
-    auto it = c.decisions.find(txn);
-    if (it == c.decisions.end()) return false;
-    *out = it->second;
+    if (!reply.ok()) return reply.status();
+    if (reply->outcome != kCommitted) return false;
+    *out = std::move(reply->record);
     return true;
   }
   // The coordinator is down: presumed abort, unless its durable decision
@@ -1298,7 +1289,7 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
   }
   s.service = std::move(service);
   recoveries_metric_->Increment();
-  if (net_ != nullptr) RegisterShardServer(shard);
+  RegisterShardServer(shard);
 
   if (Status st = ResolveInterrupted(shard, &report); !st.ok()) return st;
   open_reservations_gauge_->Set(static_cast<double>(OpenReservations()));
@@ -1319,67 +1310,32 @@ Status ShardedArrangementService::ResolveInterrupted(
       }
     }
   }
-  Shard& h = *shards_[static_cast<std::size_t>(shard)];
   for (const auto& [txn, pending] : mine) {
-    InteractionRecord decision;
-    bool committed = false;
-    {
-      std::lock_guard<std::mutex> lock(h.ledger_mu);
-      auto it = h.decisions.find(txn);
-      if (it != h.decisions.end()) {
-        committed = true;
-        decision = it->second;
-      }
-    }
+    // The recovered index holds exactly the durable decisions.
+    auto decision = HandleQuery(shard, txn, pending.trace_id, QueryRequest{});
+    if (!decision.ok()) return decision.status();
+    const bool committed = decision->outcome == kCommitted;
     for (const Portion& portion : pending.portions) {
-      if (portion.shard == shard) continue;  // Our slice replayed above.
-      Shard& p = *shards_[static_cast<std::size_t>(portion.shard)];
-      // A participant that died (or died and moved on) resolves from its
-      // own WAL; only its still-pending inner round for THIS txn is ours
-      // to finish.
-      if (p.service == nullptr ||
-          p.service->rounds_served() != portion.local_round ||
-          !p.service->AwaitingFeedback()) {
-        continue;
-      }
+      // Only a still-open stage of THIS txn is ours to finish: our own
+      // slice replayed above, and a participant that died since
+      // resolves from its own WAL at its recovery.
+      if (!StageOpen(portion.shard, txn)) continue;
       if (committed) {
-        Feedback fb(decision.feedback.begin() +
-                        static_cast<std::ptrdiff_t>(portion.start),
-                    decision.feedback.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            portion.start + portion.local_events.size()));
-        InteractionRecord local;
-        local.t = portion.local_round;
-        local.user_id = pending.user_id;
-        local.user_capacity = portion.local_capacity;
-        local.arrangement = portion.local_events;
-        local.feedback = fb;
-        local.contexts.assign(
-            decision.contexts.begin() +
-                static_cast<std::ptrdiff_t>(portion.start),
-            decision.contexts.begin() +
-                static_cast<std::ptrdiff_t>(portion.start +
-                                            portion.local_events.size()));
-        // The decision is durable (it came from the recovered index), so
-        // the portion frame may close the reservation.
-        (void)AppendFrame(
-            p, EncodePortionFrame(txn, pending.trace_id, rebalance_epoch_,
-                                  local));
-        if (Status st = p.service->SubmitFeedback(fb); !st.ok()) {
+        auto applied = HandlePortion(
+            portion.shard, txn, pending.trace_id,
+            PortionOf(pending, portion, decision->record.feedback,
+                      /*write_frame=*/true));
+        if (!applied.ok()) {
           return InternalError(StrFormat(
               "completing interrupted txn %llu on shard %d failed: %s",
               static_cast<unsigned long long>(txn), portion.shard,
-              st.message().c_str()));
+              applied.status().message().c_str()));
         }
-        AppendObservations(p, local);
         ++report->interrupted_completed;
       } else {
-        (void)p.service->AbortPendingRound();
+        (void)HandleAbort(portion.shard, txn, pending.trace_id,
+                          AbortRequest{});
         ++report->interrupted_aborted;
-      }
-      {
-        std::lock_guard<std::mutex> lock(p.ledger_mu);
-        p.open_reservations.erase(txn);
       }
     }
     if (committed) {
@@ -1391,7 +1347,7 @@ Status ShardedArrangementService::ResolveInterrupted(
   return Status::Ok();
 }
 
-// --- Transport -----------------------------------------------------------
+// --- The protocol's channel and handlers --------------------------------
 
 Status ShardedArrangementService::ConfigureTransport(
     SimulatedNetwork* net, const ShardTransportOptions& options) {
@@ -1412,92 +1368,170 @@ Status ShardedArrangementService::ConfigureTransport(
   return Status::Ok();
 }
 
+template <typename Request>
+StatusOr<typename Request::Reply> ShardedArrangementService::Call(
+    int shard, std::uint64_t txn, std::uint64_t trace_id,
+    const Request& request, bool* lost) {
+  if (net_ == nullptr) {
+    return (this->*Request::kHandler)(shard, txn, trace_id, request);
+  }
+  auto response = client_->Call(Request::kKind, shard, txn, trace_id,
+                                request.Encode());
+  if (!response.ok()) {
+    if (lost != nullptr) *lost = true;
+    return UnavailableError(StrFormat(
+        "%s to shard %d lost in the network: %s",
+        MessageKindName(Request::kKind), shard,
+        response.status().message().c_str()));
+  }
+  if (Status st = response->ToStatus(); !st.ok()) return st;
+  return Request::Reply::Decode(response->body);
+}
+
+namespace {
+
+/// The ShardServer method for one request type: decode, handle, encode.
+template <typename Request, typename Handler>
+ShardServer::Method WireMethod(Handler handle) {
+  return [handle](const Envelope& envelope) -> StatusOr<std::string> {
+    auto request = Request::Decode(envelope.body);
+    if (!request.ok()) return request.status();
+    auto reply = handle(envelope, std::move(*request));
+    if (!reply.ok()) return reply.status();
+    return reply->Encode();
+  };
+}
+
+}  // namespace
+
 void ShardedArrangementService::RegisterShardServer(int shard) {
+  if (net_ == nullptr) return;  // The loopback needs no server.
   if (static_cast<int>(servers_.size()) <= shard) {
     servers_.resize(static_cast<std::size_t>(shard) + 1);
   }
+  const auto handler = [this, shard](const Envelope& envelope,
+                                     auto&& request) {
+    using Request = std::decay_t<decltype(request)>;
+    return (this->*Request::kHandler)(shard, envelope.txn, envelope.trace_id,
+                                      std::forward<decltype(request)>(request));
+  };
   auto server = std::make_unique<ShardServer>(net_, shard, topts_.server);
-  server->Handle(MessageKind::kServe, [this, shard](const Envelope& req) {
-    return HandleServe(shard, req);
-  });
-  server->Handle(MessageKind::kReserve, [this, shard](const Envelope& req) {
-    return HandleReserve(shard, req);
-  });
-  server->Handle(MessageKind::kCommit, [this, shard](const Envelope& req) {
-    return HandleCommit(shard, req);
-  });
-  server->Handle(MessageKind::kAbort, [this, shard](const Envelope& req) {
-    return HandleAbort(shard, req);
-  });
+  server->Handle(MessageKind::kServe, WireMethod<ServeRequest>(handler));
+  server->Handle(MessageKind::kReserve, WireMethod<ReserveRequest>(handler));
+  server->Handle(
+      MessageKind::kCommit,
+      [decision = WireMethod<DecisionRequest>(handler),
+       portion = WireMethod<PortionRequest>(handler)](const Envelope& e) {
+        const bool is_decision =
+            !e.body.empty() &&
+            static_cast<std::uint8_t>(e.body[0]) == kCommitDecision;
+        return is_decision ? decision(e) : portion(e);
+      });
+  server->Handle(MessageKind::kAbort, WireMethod<AbortRequest>(handler));
   server->Handle(MessageKind::kQueryDecision,
-                 [this, shard](const Envelope& req) {
-                   return HandleQuery(shard, req);
+                 WireMethod<QueryRequest>(handler));
+  server->Handle(MessageKind::kMigrate, WireMethod<MigrateRequest>(handler));
+  server->Handle(MessageKind::kHealth,
+                 [this, shard](const Envelope&) -> StatusOr<std::string> {
+                   return std::string(
+                       1, static_cast<char>(ShardHealth(shard).state));
                  });
-  server->Handle(MessageKind::kHealth, [this, shard](const Envelope& req) {
-    return HandleHealth(shard, req);
-  });
-  server->Handle(MessageKind::kMigrate, [this, shard](const Envelope& req) {
-    return HandleMigrate(shard, req);
-  });
   servers_[static_cast<std::size_t>(shard)] = std::move(server);
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleServe(
-    int shard, const Envelope& request) {
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  if (s.service == nullptr) {
-    return UnavailableError(StrFormat("shard %d is down", shard));
-  }
-  auto body = ServeRequestBody::Decode(request.body);
-  if (!body.ok()) return body.status();
-  s.service->SetNextRoundTrace(request.txn, request.trace_id);
-  auto local = s.service->ServeUser(body->user_id, body->user_capacity,
-                                    body->contexts);
-  if (!local.ok()) return local.status();
-  ServeResponseBody response;
-  response.coordinator_round = s.service->rounds_served();
-  response.local_events = std::move(local).value();
-  {
-    std::lock_guard<std::mutex> lock(s.ledger_mu);
-    StageEntry entry;
-    entry.local_round = response.coordinator_round;
-    entry.lease_expiry = body->lease_expiry;
-    entry.coordinator = shard;  // The home stage's decision lives here.
-    s.stage_rounds[request.txn] = entry;
-  }
-  return response.Encode();
+std::unique_lock<std::mutex> ShardedArrangementService::LockNetwork() {
+  if (net_ == nullptr) return std::unique_lock<std::mutex>();
+  return std::unique_lock<std::mutex>(net_mu_);
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleReserve(
-    int shard, const Envelope& request) {
+std::int64_t ShardedArrangementService::LeaseExpiry() const {
+  return net_ == nullptr ? 0 : net_->now() + topts_.lease_ticks;
+}
+
+bool ShardedArrangementService::StageOpen(int shard, std::uint64_t txn) const {
+  if (!shard_alive(shard)) return false;
+  const Shard& s = *shards_[static_cast<std::size_t>(shard)];
+  std::lock_guard<std::mutex> lock(s.ledger_mu);
+  return s.stage_rounds.count(txn) != 0;
+}
+
+ShardedArrangementService::PortionRequest
+ShardedArrangementService::PortionOf(const PendingTxn& pending,
+                                     const Portion& portion,
+                                     const Feedback& feedback,
+                                     bool write_frame) const {
+  const auto begin = static_cast<std::ptrdiff_t>(portion.start);
+  const auto end = static_cast<std::ptrdiff_t>(portion.start +
+                                               portion.local_events.size());
+  PortionRequest request;
+  request.write_frame = write_frame;
+  request.record.t = portion.local_round;
+  request.record.user_id = pending.user_id;
+  request.record.user_capacity = portion.local_capacity;
+  request.record.arrangement = portion.local_events;
+  request.record.feedback.assign(feedback.begin() + begin,
+                                 feedback.begin() + end);
+  request.record.contexts.assign(pending.context_rows.begin() + begin,
+                                 pending.context_rows.begin() + end);
+  return request;
+}
+
+StatusOr<ShardedArrangementService::ServeReply>
+ShardedArrangementService::HandleServe(int shard, std::uint64_t txn,
+                                       std::uint64_t trace_id,
+                                       const ServeRequest& request) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
   if (s.service == nullptr) {
     return UnavailableError(StrFormat("shard %d is down", shard));
   }
-  auto body = ReserveRequestBody::Decode(request.body);
-  if (!body.ok()) return body.status();
-  std::vector<std::uint8_t> mask = SpilloverMask(shard, body->chosen);
-  ReserveResponseBody response;
+  s.service->SetNextRoundTrace(txn, trace_id);
+  auto local = s.service->ServeUser(request.user_id, request.user_capacity,
+                                    request.contexts);
+  if (!local.ok()) return local.status();
+  ServeReply reply;
+  reply.coordinator_round = s.service->rounds_served();
+  reply.local_events = std::move(local).value();
+  {
+    std::lock_guard<std::mutex> lock(s.ledger_mu);
+    s.stage_rounds[txn] = {.local_round = reply.coordinator_round,
+                           .lease_expiry = request.lease_expiry,
+                           .coordinator = shard};  // A home stage.
+  }
+  return reply;
+}
+
+StatusOr<ShardedArrangementService::ReserveReply>
+ShardedArrangementService::HandleReserve(int shard, std::uint64_t txn,
+                                         std::uint64_t trace_id,
+                                         const ReserveRequest& request) {
+  Shard& s = *shards_[static_cast<std::size_t>(shard)];
+  if (s.service == nullptr) {
+    return UnavailableError(StrFormat("shard %d is down", shard));
+  }
+  std::vector<std::uint8_t> mask = SpilloverMask(shard, request.chosen);
+  ReserveReply reply;
   if (std::all_of(mask.begin(), mask.end(),
                   [](std::uint8_t m) { return m == 0; })) {
-    return response.Encode();  // Empty contribution, nothing reserved.
+    return reply;  // Empty contribution, nothing reserved.
   }
-  s.service->SetNextRoundTrace(request.txn, request.trace_id);
-  auto local = s.service->ServeUser(body->user_id, body->remaining,
-                                    body->contexts, std::move(mask));
+  s.service->SetNextRoundTrace(txn, trace_id);
+  auto local = s.service->ServeUser(request.user_id, request.remaining,
+                                    request.contexts, std::move(mask));
   if (!local.ok()) return local.status();
   if (local->empty()) {
     (void)s.service->AbortPendingRound();
-    return response.Encode();
+    return reply;
   }
 
+  // Phase 1: the contribution only counts once the reservation is
+  // durable on the participant.
   ReservationRecord reservation;
-  reservation.txn = request.txn;
-  reservation.trace_id = request.trace_id;
-  reservation.coordinator_shard = body->coordinator_shard;
-  reservation.coordinator_round = body->coordinator_round;
-  reservation.user_id = body->user_id;
-  reservation.lease_expiry = body->lease_expiry;
+  reservation.txn = txn;
+  reservation.trace_id = trace_id;
+  reservation.coordinator_shard = request.coordinator_shard;
+  reservation.coordinator_round = request.coordinator_round;
+  reservation.user_id = request.user_id;
+  reservation.lease_expiry = request.lease_expiry;
   reservation.epoch = rebalance_epoch_;
   reservation.events = MapToGlobal(shard, *local);
   if (Status st = AppendFrameStrict(s, EncodeReserveFrame(reservation));
@@ -1508,17 +1542,8 @@ StatusOr<std::string> ShardedArrangementService::HandleReserve(
     ++stats_.reservation_refusals;
     return st;
   }
-  response.local_round = s.service->rounds_served();
-  response.global_events = reservation.events;
-  {
-    std::lock_guard<std::mutex> lock(s.ledger_mu);
-    s.open_reservations[request.txn] = reservation;
-    StageEntry entry;
-    entry.local_round = response.local_round;
-    entry.lease_expiry = reservation.lease_expiry;
-    entry.coordinator = reservation.coordinator_shard;
-    s.stage_rounds[request.txn] = entry;
-  }
+  reply.local_round = s.service->rounds_served();
+  reply.global_events = reservation.events;
   reservations_metric_->Add(
       static_cast<std::int64_t>(reservation.events.size()));
   {
@@ -1526,482 +1551,170 @@ StatusOr<std::string> ShardedArrangementService::HandleReserve(
     stats_.reservations_made +=
         static_cast<std::int64_t>(reservation.events.size());
   }
-  return response.Encode();
+  {
+    std::lock_guard<std::mutex> lock(s.ledger_mu);
+    s.stage_rounds[txn] = {.local_round = reply.local_round,
+                           .lease_expiry = reservation.lease_expiry,
+                           .coordinator = reservation.coordinator_shard};
+    s.open_reservations[txn] = std::move(reservation);
+  }
+  return reply;
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleCommit(
-    int shard, const Envelope& request) {
+StatusOr<ShardedArrangementService::DecisionReply>
+ShardedArrangementService::HandleDecision(int shard, std::uint64_t txn,
+                                          std::uint64_t trace_id,
+                                          DecisionRequest request) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
   if (s.service == nullptr) {
     return UnavailableError(StrFormat("shard %d is down", shard));
   }
-  if (request.body.empty()) {
-    return InvalidArgumentError("commit body is empty");
-  }
-  const std::uint8_t flag =
-      static_cast<std::uint8_t>(request.body[0]);
-  if (flag == kCommitDecision) {
-    auto record =
-        DecodeInteractionRecord(std::string_view(request.body).substr(1));
-    if (!record.ok()) return record.status();
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      if (aborted_txns_.count(request.txn) != 0) {
-        return FailedPreconditionError(StrFormat(
-            "transaction %llu was force-aborted on lease expiry",
-            static_cast<unsigned long long>(request.txn)));
-      }
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (aborted_txns_.count(txn) != 0) {
+      return FailedPreconditionError(StrFormat(
+          "transaction %llu was force-aborted on lease expiry",
+          static_cast<unsigned long long>(txn)));
     }
-    {
-      // Txn-level idempotence: a resubmitted commit of a decided txn
-      // answers from the index without a second frame.
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      auto it = s.decisions.find(request.txn);
-      if (it != s.decisions.end()) {
-        const bool durable = s.decision_durable[request.txn];
-        return std::string(1, durable ? '\1' : '\0');
-      }
-    }
-    auto outcome = AppendFrame(
-        s, EncodeDecisionFrame(request.txn, request.trace_id,
-                               rebalance_epoch_, *record));
-    if (!outcome.ok()) return outcome.status();
-    const bool durable = (*outcome == AppendOutcome::kDurable);
-    {
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      s.decisions[request.txn] = std::move(record).value();
-      s.decision_durable[request.txn] = durable;
-    }
-    return std::string(1, durable ? '\1' : '\0');
   }
-  if (flag != kCommitPortion || request.body.size() < 3) {
-    return InvalidArgumentError("malformed commit body");
+  DecisionReply reply;
+  {
+    // Txn-level idempotence: a resubmitted commit of a decided txn
+    // answers from the index without a second frame.
+    std::lock_guard<std::mutex> lock(s.ledger_mu);
+    if (s.decisions.count(txn) != 0) {
+      reply.durable = s.decision_durable[txn];
+      return reply;
+    }
   }
-  const bool write_frame = request.body[1] != 0;
-  auto record =
-      DecodeInteractionRecord(std::string_view(request.body).substr(3));
-  if (!record.ok()) return record.status();
+  auto outcome = AppendFrame(
+      s, EncodeDecisionFrame(txn, trace_id, rebalance_epoch_,
+                             request.record));
+  if (!outcome.ok()) return outcome.status();
+  reply.durable = (*outcome == AppendOutcome::kDurable);
+  // From here the transaction is committed: the index lets resolvers
+  // (live peers or recovering shards) find it even if the coordinator
+  // dies before any portion applies.
+  std::lock_guard<std::mutex> lock(s.ledger_mu);
+  s.decisions[txn] = std::move(request.record);
+  s.decision_durable[txn] = reply.durable;
+  return reply;
+}
+
+StatusOr<ShardedArrangementService::Ack>
+ShardedArrangementService::HandlePortion(int shard, std::uint64_t txn,
+                                         std::uint64_t trace_id,
+                                         const PortionRequest& request) {
+  Shard& s = *shards_[static_cast<std::size_t>(shard)];
+  if (s.service == nullptr) {
+    return UnavailableError(StrFormat("shard %d is down", shard));
+  }
   StageEntry entry;
   {
     std::lock_guard<std::mutex> lock(s.ledger_mu);
-    auto it = s.stage_rounds.find(request.txn);
+    auto it = s.stage_rounds.find(txn);
     // No open stage: the portion already applied (an earlier delivery
     // beat this retry) or the shard recovered past it. Idempotent no-op.
-    if (it == s.stage_rounds.end()) return std::string();
+    if (it == s.stage_rounds.end()) return Ack{};
     entry = it->second;
   }
   if (s.service->rounds_served() != entry.local_round ||
       !s.service->AwaitingFeedback()) {
     return InternalError(StrFormat(
         "shard %d stage of txn %llu does not match its pending round",
-        shard, static_cast<unsigned long long>(request.txn)));
+        shard, static_cast<unsigned long long>(txn)));
   }
-  if (write_frame) {
-    (void)AppendFrame(
-        s, EncodePortionFrame(request.txn, request.trace_id,
-                              rebalance_epoch_, *record));
+  if (request.write_frame) {
+    // Best-effort: a lost portion frame re-resolves (to the same
+    // commit) at recovery.
+    (void)AppendFrame(s, EncodePortionFrame(txn, trace_id, rebalance_epoch_,
+                                            request.record));
   }
-  if (Status st = s.service->SubmitFeedback(record->feedback); !st.ok()) {
+  // Inner services run WAL-less, so feedback can only fail on a protocol
+  // bug (wrong pending round) — never retryably.
+  if (Status st = s.service->SubmitFeedback(request.record.feedback);
+      !st.ok()) {
     return InternalError(StrFormat(
         "shard %d portion of txn %llu failed: %s", shard,
-        static_cast<unsigned long long>(request.txn),
-        st.message().c_str()));
+        static_cast<unsigned long long>(txn), st.message().c_str()));
   }
   {
     std::lock_guard<std::mutex> lock(s.ledger_mu);
-    s.stage_rounds.erase(request.txn);
-    s.open_reservations.erase(request.txn);
+    s.stage_rounds.erase(txn);
+    s.open_reservations.erase(txn);
   }
-  AppendObservations(s, *record);
-  return std::string();
+  AppendObservations(s, request.record);
+  return Ack{};
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleAbort(
-    int shard, const Envelope& request) {
+StatusOr<ShardedArrangementService::Ack>
+ShardedArrangementService::HandleAbort(int shard, std::uint64_t txn,
+                                       std::uint64_t /*trace_id*/,
+                                       const AbortRequest& /*request*/) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
   if (s.service == nullptr) {
     return UnavailableError(StrFormat("shard %d is down", shard));
   }
-  bool have_stage = false;
-  StageEntry entry;
+  std::optional<StageEntry> stage;
   {
     std::lock_guard<std::mutex> lock(s.ledger_mu);
-    auto it = s.stage_rounds.find(request.txn);
-    if (it != s.stage_rounds.end()) {
-      have_stage = true;
-      entry = it->second;
-    }
+    auto it = s.stage_rounds.find(txn);
+    if (it != s.stage_rounds.end()) stage = it->second;
   }
-  if (have_stage && s.service->rounds_served() == entry.local_round &&
+  // Roll back the inner round only while it is still this stage's (its
+  // durable reservation, if any, resolves to presumed abort).
+  if (stage.has_value() && s.service->rounds_served() == stage->local_round &&
       s.service->AwaitingFeedback()) {
     (void)s.service->AbortPendingRound();
   }
-  {
-    std::lock_guard<std::mutex> lock(s.ledger_mu);
-    s.stage_rounds.erase(request.txn);
-    s.open_reservations.erase(request.txn);
-  }
-  return std::string();
+  std::lock_guard<std::mutex> lock(s.ledger_mu);
+  s.stage_rounds.erase(txn);
+  s.open_reservations.erase(txn);
+  return Ack{};
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleQuery(
-    int shard, const Envelope& request) {
+StatusOr<ShardedArrangementService::QueryReply>
+ShardedArrangementService::HandleQuery(int shard, std::uint64_t txn,
+                                       std::uint64_t /*trace_id*/,
+                                       const QueryRequest& request) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  const bool force = !request.body.empty() && request.body[0] != 0;
-  QueryResponseBody response;
+  QueryReply reply;
   {
     std::lock_guard<std::mutex> lock(s.ledger_mu);
-    auto it = s.decisions.find(request.txn);
+    auto it = s.decisions.find(txn);
     if (it != s.decisions.end()) {
-      response.outcome = 1;
-      response.durable = s.decision_durable[request.txn];
-      response.record = it->second;
-      return response.Encode();
+      reply.outcome = kCommitted;
+      reply.record = it->second;
+      return reply;
     }
   }
-  if (!force) return response.Encode();  // Undecided: presumed abort.
+  if (!request.force) return reply;  // Undecided: presumed abort.
   // Forced resolution (lease expiry): an undecided transaction that is
   // not mid-commit right now is aborted for good — a late COMMIT will
   // be refused.
   std::lock_guard<std::mutex> lock(pending_mu_);
-  auto it = pending_.find(request.txn);
+  auto it = pending_.find(txn);
   if (it != pending_.end() && it->second.busy) {
-    response.outcome = 2;  // Mid-commit; ask again.
-    return response.Encode();
+    reply.outcome = kMidCommit;
+    return reply;
   }
   if (it != pending_.end()) pending_.erase(it);
-  aborted_txns_.insert(request.txn);
-  return response.Encode();
+  aborted_txns_.insert(txn);
+  return reply;
 }
 
-StatusOr<std::string> ShardedArrangementService::HandleHealth(
-    int shard, const Envelope& request) {
-  (void)request;
-  return std::string(
-      1, static_cast<char>(ShardHealth(shard).state));
-}
-
-StatusOr<std::string> ShardedArrangementService::HandleMigrate(
-    int shard, const Envelope& request) {
+StatusOr<ShardedArrangementService::Ack>
+ShardedArrangementService::HandleMigrate(int shard, std::uint64_t /*txn*/,
+                                         std::uint64_t /*trace_id*/,
+                                         const MigrateRequest& request) {
   Shard& s = *shards_[static_cast<std::size_t>(shard)];
   if (s.service == nullptr) {
     return UnavailableError(StrFormat("shard %d is down", shard));
   }
-  // The WAL-segment handoff: the body IS the MIGRATE frame; it lands
-  // strictly (durable or refused) — migrations never run degraded.
-  if (Status st = AppendFrameStrict(s, request.body); !st.ok()) return st;
-  return std::string();
-}
-
-StatusOr<ShardedServeResult> ShardedArrangementService::ServeUserTransport(
-    std::int64_t user_id, std::int64_t user_capacity,
-    const ContextMatrix& contexts) {
-  if (contexts.rows() != instance_->num_events() ||
-      contexts.cols() != instance_->dim()) {
-    return InvalidArgumentError(StrFormat(
-        "context matrix is %zux%zu, the instance needs %zux%zu",
-        contexts.rows(), contexts.cols(), instance_->num_events(),
-        instance_->dim()));
-  }
-  std::lock_guard<std::mutex> net_lock(net_mu_);
-  const std::uint64_t txn =
-      next_txn_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t trace_id = Mix64(txn);
-  const int home =
-      router().HomeShard(user_id, static_cast<std::int64_t>(txn - 1),
-                         options_.routing);
-  if (!shard_alive(home)) {
-    return UnavailableError(
-        StrFormat("home shard %d is down; retry (the next arrival routes "
-                  "elsewhere)",
-                  home));
-  }
-  const std::int64_t lease = net_->now() + topts_.lease_ticks;
-
-  PendingTxn pending;
-  pending.home = home;
-  pending.trace_id = trace_id;
-  pending.user_id = user_id;
-  pending.user_capacity = user_capacity;
-
-  // Stage 0: SERVE to the coordinator.
-  Arrangement chosen;  // Global ids.
-  {
-    TraceSpan span("txn.coordinate", static_cast<std::int64_t>(txn),
-                   TraceRing::Global(), nullptr, trace_id);
-    ServeRequestBody request;
-    request.user_id = user_id;
-    request.user_capacity = user_capacity;
-    request.lease_expiry = lease;
-    request.contexts = GatherContexts(home, contexts);
-    auto resp = client_->Call(MessageKind::kServe, home, txn, trace_id,
-                              request.Encode());
-    if (!resp.ok()) {
-      // Transport silence. An executed-but-unanswered serve left an
-      // orphan stage on the home; its lease expires it to abort.
-      return UnavailableError(StrFormat(
-          "serve to home shard %d lost in the network: %s", home,
-          resp.status().message().c_str()));
-    }
-    if (Status st = resp->ToStatus(); !st.ok()) return st;
-    auto body = ServeResponseBody::Decode(resp->body);
-    if (!body.ok()) return body.status();
-    pending.coordinator_round = body->coordinator_round;
-    Portion portion;
-    portion.shard = home;
-    portion.local_events = std::move(body->local_events);
-    portion.start = 0;
-    portion.local_round = pending.coordinator_round;
-    portion.local_capacity = user_capacity;
-    chosen = MapToGlobal(home, portion.local_events);
-    pending.portions.push_back(std::move(portion));
-  }
-
-  // Spillover: RESERVE in ring order after the home while capacity
-  // remains. A lost or refused stage is skipped (its lease cleans up
-  // whatever the participant did); the round goes on with fewer events.
-  std::int64_t remaining =
-      user_capacity - static_cast<std::int64_t>(chosen.size());
-  int budget = options_.max_participant_shards < 0
-                   ? options_.num_shards - 1
-                   : std::min(options_.max_participant_shards,
-                              options_.num_shards - 1);
-  bool crossed = false;
-  for (int k = 1;
-       k < options_.num_shards && budget > 0 && remaining > 0; ++k) {
-    const int sid = (home + k) % options_.num_shards;
-    if (!shard_alive(sid) || router().ShardEvents(sid).empty()) continue;
-    std::vector<std::uint8_t> mask = SpilloverMask(sid, chosen);
-    if (std::all_of(mask.begin(), mask.end(),
-                    [](std::uint8_t m) { return m == 0; })) {
-      continue;  // Everything here conflicts with the chosen set.
-    }
-    ReserveRequestBody request;
-    request.user_id = user_id;
-    request.remaining = remaining;
-    request.lease_expiry = lease;
-    request.coordinator_shard = home;
-    request.coordinator_round = pending.coordinator_round;
-    request.chosen = chosen;
-    request.contexts = GatherContexts(sid, contexts);
-    TraceSpan reserve_span("txn.reserve", static_cast<std::int64_t>(txn),
-                           TraceRing::Global(), nullptr, trace_id);
-    auto resp = client_->Call(MessageKind::kReserve, sid, txn, trace_id,
-                              request.Encode());
-    if (!resp.ok()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.spillover_stages_skipped;
-      continue;  // Lost in the network; the lease reaps the orphan.
-    }
-    if (Status st = resp->ToStatus(); !st.ok()) {
-      if (IsRetryableServe(st.code())) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.spillover_stages_skipped;
-        continue;
-      }
-      // Unretryable: abort every stage opened so far (best effort —
-      // leases catch whatever these messages miss).
-      for (const Portion& portion : pending.portions) {
-        (void)client_->Call(MessageKind::kAbort, portion.shard, txn,
-                            trace_id, std::string());
-      }
-      return st;
-    }
-    auto body = ReserveResponseBody::Decode(resp->body);
-    if (!body.ok()) return body.status();
-    if (body->global_events.empty()) continue;
-    Portion portion;
-    portion.shard = sid;
-    portion.start = chosen.size();
-    portion.local_round = body->local_round;
-    portion.local_capacity = remaining;  // What this stage was asked for.
-    portion.local_events.reserve(body->global_events.size());
-    for (EventId g : body->global_events) {
-      portion.local_events.push_back(router().LocalId(g));
-    }
-    remaining -= static_cast<std::int64_t>(body->global_events.size());
-    for (EventId g : body->global_events) chosen.push_back(g);
-    pending.portions.push_back(std::move(portion));
-    --budget;
-    crossed = true;
-  }
-  if (crossed) {
-    cross_shard_rounds_metric_->Increment();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.cross_shard_rounds;
-  }
-
-  pending.arrangement = chosen;
-  pending.context_rows.reserve(chosen.size());
-  for (EventId v : chosen) {
-    const auto row = contexts.Row(v);
-    pending.context_rows.emplace_back(row.begin(), row.end());
-  }
-
-  ShardedServeResult result;
-  result.txn = txn;
-  result.home_shard = home;
-  result.arrangement = chosen;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_[txn] = std::move(pending);
-  }
-  open_reservations_gauge_->Set(static_cast<double>(OpenReservations()));
-  return result;
-}
-
-Status ShardedArrangementService::SubmitFeedbackTransport(
-    std::uint64_t txn, const Feedback& feedback,
-    ShardedFeedbackResult* result) {
-  std::lock_guard<std::mutex> net_lock(net_mu_);
-  PendingTxn* pending = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    auto it = pending_.find(txn);
-    if (it == pending_.end()) {
-      return FailedPreconditionError(StrFormat(
-          "transaction %llu is not pending (never served, already "
-          "committed, force-aborted on lease expiry, or lost with a "
-          "crashed coordinator)",
-          static_cast<unsigned long long>(txn)));
-    }
-    if (it->second.busy) {
-      return FailedPreconditionError("transaction is already mid-commit");
-    }
-    it->second.busy = true;
-    pending = &it->second;  // Map nodes are stable.
-  }
-  const auto fail_retryable = [&](Status st) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending->busy = false;
-    return st;
-  };
-
-  if (feedback.size() != pending->arrangement.size()) {
-    return fail_retryable(InvalidArgumentError(
-        "feedback must align with the served arrangement"));
-  }
-  for (std::uint8_t f : feedback) {
-    if (f > 1) {
-      return fail_retryable(
-          InvalidArgumentError("feedback entries must be 0/1"));
-    }
-  }
-  const int home_shard = pending->home;
-  if (!shard_alive(home_shard)) {
-    return fail_retryable(UnavailableError("home shard is down"));
-  }
-
-  InteractionRecord record;
-  record.t = pending->coordinator_round;
-  record.user_id = pending->user_id;
-  record.user_capacity = pending->user_capacity;
-  record.arrangement = pending->arrangement;
-  record.feedback = feedback;
-  record.contexts = pending->context_rows;
-
-  // Commit point: COMMIT(decision) to the coordinator. The call is
-  // idempotent at both layers — the request-id replay cache suppresses
-  // network duplicates, and the decision index answers resubmits of an
-  // already-decided txn — so a timed-out commit may simply be retried.
-  bool durable = false;
-  {
-    TraceSpan span("txn.commit", static_cast<std::int64_t>(txn),
-                   TraceRing::Global(), nullptr, pending->trace_id);
-    CommitDecisionBody decision;
-    decision.record = record;
-    auto resp = client_->Call(MessageKind::kCommit, home_shard, txn,
-                              pending->trace_id, decision.Encode());
-    if (!resp.ok()) {
-      return fail_retryable(UnavailableError(StrFormat(
-          "commit of txn %llu lost in the network: %s",
-          static_cast<unsigned long long>(txn),
-          resp.status().message().c_str())));
-    }
-    Status st = resp->ToStatus();
-    if (st.code() == StatusCode::kFailedPrecondition) {
-      // The lease reaper got here first: the transaction is aborted
-      // for good, nothing was or will be applied.
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        pending_.erase(txn);
-      }
-      open_reservations_gauge_->Set(
-          static_cast<double>(OpenReservations()));
-      return st;
-    }
-    if (!st.ok()) return fail_retryable(st);
-    durable = !resp->body.empty() && resp->body[0] != '\0';
-  }
-  if (crash_after_decision_ && crash_after_decision_(txn)) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending->busy = false;
-    return UnavailableError(
-        "injected coordinator crash after the decision was committed");
-  }
-
-  // Phase 2: COMMIT(portion) to every stage. At-least-once: a lost
-  // delivery parks in the redelivery queue (PumpTransport drives it);
-  // the application is idempotent, keyed by the open stage.
-  int participants = 0;
-  const std::int64_t home_round = pending->coordinator_round;
-  for (const Portion& portion : pending->portions) {
-    Feedback fb(feedback.begin() + static_cast<std::ptrdiff_t>(portion.start),
-                feedback.begin() + static_cast<std::ptrdiff_t>(
-                                       portion.start +
-                                       portion.local_events.size()));
-    CommitPortionBody body;
-    body.is_home = portion.shard == home_shard;
-    body.write_frame = durable && !body.is_home;
-    body.record.t = portion.local_round;
-    body.record.user_id = pending->user_id;
-    body.record.user_capacity = portion.local_capacity;
-    body.record.arrangement = portion.local_events;
-    body.record.feedback = fb;
-    body.record.contexts.assign(
-        pending->context_rows.begin() +
-            static_cast<std::ptrdiff_t>(portion.start),
-        pending->context_rows.begin() +
-            static_cast<std::ptrdiff_t>(portion.start +
-                                        portion.local_events.size()));
-    if (!body.is_home) ++participants;
-    if (!shard_alive(portion.shard)) {
-      // The participant died after the commit point; its durable
-      // reservation meets the durable decision at recovery.
-      continue;
-    }
-    TraceSpan span("txn.portion", static_cast<std::int64_t>(txn),
-                   TraceRing::Global(), nullptr, pending->trace_id);
-    auto resp = client_->Call(MessageKind::kCommit, portion.shard, txn,
-                              pending->trace_id, body.Encode());
-    if (!resp.ok()) {
-      UndeliveredPortion parked;
-      parked.shard = portion.shard;
-      parked.txn = txn;
-      parked.trace_id = pending->trace_id;
-      parked.body = body.Encode();
-      std::lock_guard<std::mutex> lock(undelivered_mu_);
-      undelivered_.push_back(std::move(parked));
-      continue;
-    }
-    if (Status st = resp->ToStatus(); !st.ok()) return fail_retryable(st);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.erase(txn);  // `pending` dangles past this point.
-  }
-  rounds_completed_.fetch_add(1, std::memory_order_relaxed);
-  open_reservations_gauge_->Set(static_cast<double>(OpenReservations()));
-  if (result != nullptr) {
-    result->txn = txn;
-    result->home_shard = home_shard;
-    result->home_round = home_round;
-    result->durable = durable;
-    result->participant_shards = participants;
-  }
-  MaybeAutoMerge();
-  return Status::Ok();
+  // The WAL-segment handoff lands strictly (durable or refused) —
+  // migrations never run degraded.
+  if (Status st = AppendFrameStrict(s, request.frame); !st.ok()) return st;
+  return Ack{};
 }
 
 Status ShardedArrangementService::PumpTransport() {
@@ -2012,29 +1725,24 @@ Status ShardedArrangementService::PumpTransport() {
   // Redeliver parked committed portions (at-least-once; the handler is
   // an idempotent no-op once the stage closed). One pass per pump:
   // still-failing deliveries go back in the queue.
-  std::deque<UndeliveredPortion> parked;
+  std::vector<UndeliveredPortion> parked;
   {
     std::lock_guard<std::mutex> lock(undelivered_mu_);
     parked.swap(undelivered_);
   }
-  while (!parked.empty()) {
-    UndeliveredPortion portion = std::move(parked.front());
-    parked.pop_front();
-    if (!shard_alive(portion.shard)) {
-      // The shard crashed: its durable reservation resolves against the
-      // decision index at recovery; the parked copy is obsolete.
+  for (UndeliveredPortion& portion : parked) {
+    // A crashed shard's durable reservation resolves against the
+    // decision index at its recovery; the parked copy is obsolete.
+    if (!shard_alive(portion.shard)) continue;
+    if (Call(portion.shard, portion.txn, portion.trace_id, portion.request)
+            .ok()) {
+      redelivered_metric_->Increment();
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.redelivered_portions;
       continue;
     }
-    auto resp = client_->Call(MessageKind::kCommit, portion.shard,
-                              portion.txn, portion.trace_id, portion.body);
-    if (!resp.ok() || !resp->ToStatus().ok()) {
-      std::lock_guard<std::mutex> lock(undelivered_mu_);
-      undelivered_.push_back(std::move(portion));
-      continue;
-    }
-    redelivered_metric_->Increment();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.redelivered_portions;
+    std::lock_guard<std::mutex> lock(undelivered_mu_);
+    undelivered_.push_back(std::move(portion));
   }
 
   // Lease sweep: every expired stage re-queries its coordinator's
@@ -2063,39 +1771,29 @@ Status ShardedArrangementService::PumpTransport() {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.leases_expired;
     }
-    const auto renew = [&]() {
-      Shard& s = *shards_[static_cast<std::size_t>(e.shard)];
-      std::lock_guard<std::mutex> lock(s.ledger_mu);
-      auto it = s.stage_rounds.find(e.txn);
-      if (it != s.stage_rounds.end()) {
-        it->second.lease_expiry = now + topts_.lease_ticks;
-      }
-    };
-    if (!shard_alive(e.coordinator)) {
-      renew();  // Wait for the coordinator's recovery to answer.
+    // Only an undecided transaction is aborted. Every other answer
+    // renews the lease and asks again next sweep: a committed stage
+    // waits for redelivery to close it, a mid-commit one for its commit,
+    // a down coordinator for its recovery, a lost message for a retry.
+    bool aborted = false;
+    if (shard_alive(e.coordinator)) {
+      auto reply = Call(e.coordinator, e.txn, Mix64(e.txn),
+                        QueryRequest{.force = true});
+      aborted = reply.ok() && reply->outcome == kNoDecision &&
+                Call(e.shard, e.txn, Mix64(e.txn), AbortRequest{}).ok();
+    }
+    if (aborted) {
+      force_aborted_metric_->Increment();
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.force_aborted;
       continue;
     }
-    auto resp = client_->Call(MessageKind::kQueryDecision, e.coordinator,
-                              e.txn, Mix64(e.txn), std::string(1, '\1'));
-    if (!resp.ok() || !resp->ToStatus().ok()) {
-      renew();  // Unreachable; ask again next sweep.
-      continue;
+    Shard& s = *shards_[static_cast<std::size_t>(e.shard)];
+    std::lock_guard<std::mutex> lock(s.ledger_mu);
+    auto it = s.stage_rounds.find(e.txn);
+    if (it != s.stage_rounds.end()) {
+      it->second.lease_expiry = now + topts_.lease_ticks;
     }
-    auto body = QueryResponseBody::Decode(resp->body);
-    if (!body.ok()) return body.status();
-    if (body->outcome != 0) {
-      renew();  // Committed (redelivery closes it) or mid-commit.
-      continue;
-    }
-    auto abort_resp = client_->Call(MessageKind::kAbort, e.shard, e.txn,
-                                    Mix64(e.txn), std::string());
-    if (!abort_resp.ok() || !abort_resp->ToStatus().ok()) {
-      renew();  // The abort itself was lost; retry next sweep.
-      continue;
-    }
-    force_aborted_metric_->Increment();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.force_aborted;
   }
   open_reservations_gauge_->Set(static_cast<double>(OpenReservations()));
   return Status::Ok();
@@ -2255,15 +1953,14 @@ StatusOr<RebalanceReport> ShardedArrangementService::Rebalance(
             ? std::make_unique<CircuitBreaker>(durability_.breaker)
             : nullptr;
     shards_.push_back(std::move(shard));
-    // Put the new shard on the wire now so the WAL-segment handoff
-    // below travels as kMigrate messages rather than direct appends.
-    if (net_ != nullptr) RegisterShardServer(s);
+    // Put the new shard on the network (if any) before the WAL-segment
+    // handoff below addresses it.
+    RegisterShardServer(s);
   }
 
-  // Transfer: one MIGRATE frame per (source, destination) pair,
-  // appended strictly to the destination's WAL — over the transport
-  // when one is attached (the WAL-segment handoff message). A crash
-  // here leaves only frames of an epoch that never flips; the retry
+  // Transfer: one MIGRATE step per (source, destination) pair, which
+  // appends the frame strictly to the destination's WAL. A crash here
+  // leaves only frames of an epoch that never flips; the retry
   // supersedes them (last writer per event wins).
   for (const auto& [key, migrate] : transfers) {
     const int dst = key.second;
@@ -2271,22 +1968,13 @@ StatusOr<RebalanceReport> ShardedArrangementService::Rebalance(
       return abort_attempt(
           UnavailableError("injected rebalance crash mid-transfer"));
     }
-    const std::string frame = EncodeMigrateFrame(
+    MigrateRequest request;
+    request.frame = EncodeMigrateFrame(
         Mix64((static_cast<std::uint64_t>(new_epoch) << 32) |
               static_cast<std::uint32_t>(dst)),
         new_epoch, migrate);
-    if (net_ != nullptr && net_->NodeRegistered(dst)) {
-      auto resp = client_->Call(MessageKind::kMigrate, dst, 0,
-                                Mix64(new_epoch), frame);
-      if (!resp.ok()) return abort_attempt(resp.status());
-      if (Status st = resp->ToStatus(); !st.ok()) {
-        return abort_attempt(st);
-      }
-    } else {
-      Shard& d = *shards_[static_cast<std::size_t>(dst)];
-      if (Status st = AppendFrameStrict(d, frame); !st.ok()) {
-        return abort_attempt(st);
-      }
+    if (auto reply = Call(dst, 0, Mix64(new_epoch), request); !reply.ok()) {
+      return abort_attempt(reply.status());
     }
   }
   if (rebalance_crash_hook_ && rebalance_crash_hook_(2)) {
@@ -2306,10 +1994,6 @@ StatusOr<RebalanceReport> ShardedArrangementService::Rebalance(
       row.resize(static_cast<std::size_t>(new_num_shards), 0);
     }
   }
-  if (net_ != nullptr) {
-    servers_.resize(static_cast<std::size_t>(new_num_shards));
-  }
-
   // Rebuild: every shard restarts under the new epoch — the moment the
   // MIGRATE frames take effect. Identical to crash recovery, so the
   // flipped topology is exactly what a post-flip crash would rebuild.

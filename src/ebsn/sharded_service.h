@@ -32,33 +32,36 @@
 // closing their reservation — but only when the decision was durable,
 // so a portion record can never outlive its decision.
 //
-// Message transport (ConfigureTransport). By default every protocol step
-// above is an in-process call. With a SimulatedNetwork attached, the
-// service becomes a *gateway* node: SERVE/RESERVE/COMMIT/ABORT/
-// QUERY-DECISION/HEALTH/MIGRATE steps travel as typed envelopes
+// One protocol, two channels. Every step above — SERVE, RESERVE, COMMIT
+// (the decision, then each portion), ABORT, QUERY-DECISION, MIGRATE — is
+// a typed request handled by the shard it addresses, and every step
+// goes through one call helper. By default that helper is a zero-fault
+// loopback: it calls the shard's handler directly. With a
+// SimulatedNetwork attached (ConfigureTransport) the service becomes a
+// *gateway* node and the same requests travel as envelopes
 // (net/envelope.h) through the network's fault model — drop, delay,
 // duplicate, reorder, partitions — with a Deadline + RetryPolicy on
 // every call (net/client.h) and a request-id replay cache on every
 // shard server (net/server.h), so a retried RESERVE never
-// double-reserves. Reservations and serve stages then carry *leases*
-// (logical-clock expiry): PumpTransport() re-queries expired ones
-// against the coordinator's decision index over the transport and
+// double-reserves. Each shard tracks the stages it opened (home serve,
+// participant reservation) until their commit or abort. Under a network
+// those stages carry *leases* (logical-clock expiry): PumpTransport()
+// re-queries expired ones against the coordinator's decision index and
 // force-aborts what was never committed — presumed abort without
-// waiting for a crash. Committed portions whose delivery failed park in
-// a redelivery queue (at-least-once; the portion application is
-// idempotent). The transport path is serialized by an internal mutex:
-// multi-threaded serving stays on the in-process path.
+// waiting for a crash. Committed portions whose delivery the network
+// lost park in a redelivery queue (at-least-once; the portion
+// application is idempotent).
 //
 // Crash recovery (per shard, independent). Replaying a shard's WAL
 // rebuilds its inner service from DECISION slices and PORTION records
 // (duplicate frames collapsed by round id, adjacent or not), indexes
 // its decisions, and collects reservations with no closing portion —
 // the *in-doubt* set. Resolution is presumed-abort: each in-doubt
-// reservation re-queries the coordinator shard's decision index — over
-// the transport when one is attached, falling back to the live
-// in-memory index or a read-only WAL scan when the coordinator is
-// unreachable; a decision containing the reserved events commits the
-// portion, anything else aborts it. No in-doubt reservation survives
+// reservation re-queries the coordinator shard's decision index (a
+// QUERY-DECISION step; if the network loses it, the live index is read
+// directly), or scans the coordinator's WAL read-only while it is down;
+// a decision containing the reserved events commits the portion,
+// anything else aborts it. No in-doubt reservation survives
 // recovery. Capacities can never go negative: every consumption goes
 // through the owner's inner service, which validates before applying.
 //
@@ -96,19 +99,22 @@
 // factor (RidgeState::Refactorize). Merged state is soft: recovery
 // rebuilds a shard from its own WAL only, and the next merge re-syncs.
 //
-// Thread safety: in-process ServeUser/SubmitFeedback are safe from any
-// number of threads (inner services serialize their own pipelines; WAL
-// appends are per-shard mutexed; no lock is ever held across a peer
-// shard's lock). KillShard/RecoverShard/MergeLearners/Rebalance assume
-// the caller stops traffic to the affected shards first (the chaos
-// harness and tests do). Single-threaded runs are bit-reproducible per
-// seed.
+// Thread safety: ServeUser/SubmitFeedback are safe from any number of
+// threads. On the loopback they run in parallel: inner services
+// serialize their own pipelines (a shard holds one open stage at a
+// time; a busy home answers the retryable kFailedPrecondition, a busy
+// participant's stage is skipped), WAL appends and ledgers are
+// per-shard mutexed, and no lock is ever held across a peer shard's
+// lock. Under a network they serialize behind one internal mutex (the
+// simulated network and its client are single-threaded).
+// KillShard/RecoverShard/MergeLearners/Rebalance assume the caller stops
+// traffic to the affected shards first (the chaos harness and tests
+// do). Single-threaded runs are bit-reproducible per seed.
 #ifndef FASEA_EBSN_SHARDED_SERVICE_H_
 #define FASEA_EBSN_SHARDED_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -220,7 +226,8 @@ struct ShardedStats {
   std::int64_t merges = 0;
   std::int64_t resolved_committed = 0;
   std::int64_t resolved_aborted = 0;
-  // Transport-path counters (zero on the in-process path).
+  // Lease and redelivery counters: zero without a network (the
+  // loopback loses no message, and its stages carry no lease).
   std::int64_t leases_expired = 0;
   std::int64_t force_aborted = 0;
   std::int64_t redelivered_portions = 0;
@@ -269,10 +276,11 @@ class ShardedArrangementService {
   // --- Transport --------------------------------------------------------
 
   /// Puts every protocol step behind `net` (which must outlive the
-  /// service): the service becomes gateway node kGatewayNode, every live
-  /// shard gets a ShardServer on node id == shard index, and subsequent
-  /// ServeUser/SubmitFeedback calls travel as envelopes with deadlines,
-  /// retries, request-id dedup, and leases. Call once, quiesced.
+  /// service) instead of the loopback: the service becomes gateway node
+  /// kGatewayNode, every live shard gets a ShardServer on node id ==
+  /// shard index, and subsequent protocol steps travel as envelopes
+  /// with deadlines, retries, request-id dedup, and leases. Call once,
+  /// quiesced.
   Status ConfigureTransport(SimulatedNetwork* net,
                             const ShardTransportOptions& options = {});
   bool transport_enabled() const { return net_ != nullptr; }
@@ -429,11 +437,11 @@ class ShardedArrangementService {
     std::vector<double> context;
     double reward = 0.0;
   };
-  /// One inner round opened over the transport (home serve stage or
-  /// participant reservation), awaiting its commit or abort message.
+  /// One inner round a protocol step opened on a shard (home serve
+  /// stage or participant reservation), awaiting its commit or abort.
   struct StageEntry {
     std::int64_t local_round = 0;
-    std::int64_t lease_expiry = 0;
+    std::int64_t lease_expiry = 0;  // 0 = no lease (the loopback).
     int coordinator = 0;  // Where the decision for this txn lives.
   };
   struct Shard {
@@ -457,20 +465,32 @@ class ShardedArrangementService {
     /// decision).
     std::map<std::uint64_t, bool> decision_durable;
     std::map<std::uint64_t, ReservationRecord> open_reservations;
-    /// Transport-path stages keyed by txn (see StageEntry).
+    /// Open stages keyed by txn (see StageEntry).
     std::map<std::uint64_t, StageEntry> stage_rounds;
 
     // Delta-merge buffers.
     mutable std::mutex obs_mu;
     std::vector<Observation> obs;
   };
-  /// A committed portion whose delivery failed; PumpTransport retries.
-  struct UndeliveredPortion {
-    int shard = 0;
-    std::uint64_t txn = 0;
-    std::uint64_t trace_id = 0;
-    std::string body;
-  };
+
+  // The protocol's typed messages, one request (and reply) per step;
+  // defined with their wire codecs in the .cc. Each request names its
+  // MessageKind and its handler below.
+  struct Ack;
+  struct ServeRequest;
+  struct ServeReply;
+  struct ReserveRequest;
+  struct ReserveReply;
+  struct DecisionRequest;
+  struct DecisionReply;
+  struct PortionRequest;
+  struct AbortRequest;
+  struct QueryRequest;
+  struct QueryReply;
+  struct MigrateRequest;
+  /// A committed portion whose delivery the network lost; PumpTransport
+  /// retries it.
+  struct UndeliveredPortion;
 
   enum class AppendOutcome { kDurable, kNonDurable };
 
@@ -491,11 +511,6 @@ class ShardedArrangementService {
   /// Reopen-if-broken + append; caller holds shard.wal_mu.
   Status AppendLocked(Shard& shard, std::string_view frame);
 
-  /// The slice of a (global-id) decision record owned by `shard`,
-  /// re-labelled with local ids and round `t` — the live path (current
-  /// epoch only).
-  InteractionRecord SliceForShard(int shard, const InteractionRecord& record,
-                                  std::int64_t t) const;
   /// Replay-time slice: keeps an event only if `shard` owned it at
   /// `frame_epoch`, still owns it now, and the frame does not pre-date
   /// the event's latest migration (`acquired`: event -> epoch of its
@@ -506,36 +521,68 @@ class ShardedArrangementService {
       std::uint32_t frame_epoch,
       const std::map<EventId, std::uint32_t>& acquired,
       bool* migration_filtered) const;
-  /// Rolls back every inner round a failed serve opened and drops the
-  /// in-memory reservations (their durable frames resolve to presumed
-  /// abort).
-  void AbortOpenPortions(const PendingTxn& pending, std::uint64_t txn);
-  /// The coordinator's decision for `txn`: over the transport when its
-  /// node answers, else its live in-memory index, else a read-only scan
-  /// of its WAL.
+  /// The coordinator's decision for `txn`: its decision index while it
+  /// is alive (a QUERY-DECISION step, read directly if the network
+  /// loses it), else a read-only scan of its WAL.
   StatusOr<bool> LookupDecision(int coordinator, std::uint64_t txn,
                                 InteractionRecord* out);
   void AppendObservations(Shard& shard, const InteractionRecord& record);
   void MaybeAutoMerge();
   Status ResolveInterrupted(int shard, ShardRecoveryReport* report);
-
-  // Transport plumbing.
-  void RegisterShardServer(int shard);
-  StatusOr<ShardedServeResult> ServeUserTransport(
-      std::int64_t user_id, std::int64_t user_capacity,
-      const ContextMatrix& contexts);
-  Status SubmitFeedbackTransport(std::uint64_t txn, const Feedback& feedback,
-                                 ShardedFeedbackResult* result);
-  StatusOr<std::string> HandleServe(int shard, const Envelope& request);
-  StatusOr<std::string> HandleReserve(int shard, const Envelope& request);
-  StatusOr<std::string> HandleCommit(int shard, const Envelope& request);
-  StatusOr<std::string> HandleAbort(int shard, const Envelope& request);
-  StatusOr<std::string> HandleQuery(int shard, const Envelope& request);
-  StatusOr<std::string> HandleHealth(int shard, const Envelope& request);
-  StatusOr<std::string> HandleMigrate(int shard, const Envelope& request);
   /// One drain/rebuild restart of a live shard (kill + recover +
   /// re-attach its WAL); requires quiescence.
   Status RestartShard(int shard);
+
+  // --- The protocol's one channel -----------------------------------------
+
+  /// Runs one protocol step on `shard`. Without a network this is a
+  /// zero-fault loopback: the shard's handler gets the typed request
+  /// directly. With one, the request travels as an envelope through the
+  /// client (deadline, retries) and the reply is decoded. A step the
+  /// network lost fails kUnavailable and sets *lost: the shard may or
+  /// may not have run it.
+  template <typename Request>
+  StatusOr<typename Request::Reply> Call(int shard, std::uint64_t txn,
+                                         std::uint64_t trace_id,
+                                         const Request& request,
+                                         bool* lost = nullptr);
+  /// Puts `shard`'s handlers on the network (a no-op without one).
+  void RegisterShardServer(int shard);
+  /// Holds the network path's mutex; empty on the loopback, so
+  /// concurrent callers proceed in parallel.
+  std::unique_lock<std::mutex> LockNetwork();
+  /// Lease expiry for stages opened now; 0 (none) on the loopback.
+  std::int64_t LeaseExpiry() const;
+  /// Whether `shard` is alive and still holds `txn`'s stage open.
+  bool StageOpen(int shard, std::uint64_t txn) const;
+  /// The portion COMMIT for one stage of `pending` under `feedback`.
+  PortionRequest PortionOf(const PendingTxn& pending, const Portion& portion,
+                           const Feedback& feedback, bool write_frame) const;
+
+  // The shard-side steps, one handler each. COMMIT has two halves: the
+  // coordinator's decision (the commit point) and each stage's portion.
+  StatusOr<ServeReply> HandleServe(int shard, std::uint64_t txn,
+                                   std::uint64_t trace_id,
+                                   const ServeRequest& request);
+  StatusOr<ReserveReply> HandleReserve(int shard, std::uint64_t txn,
+                                       std::uint64_t trace_id,
+                                       const ReserveRequest& request);
+  /// Takes the request by value: the decision index keeps its record.
+  StatusOr<DecisionReply> HandleDecision(int shard, std::uint64_t txn,
+                                         std::uint64_t trace_id,
+                                         DecisionRequest request);
+  StatusOr<Ack> HandlePortion(int shard, std::uint64_t txn,
+                              std::uint64_t trace_id,
+                              const PortionRequest& request);
+  StatusOr<Ack> HandleAbort(int shard, std::uint64_t txn,
+                            std::uint64_t trace_id,
+                            const AbortRequest& request);
+  StatusOr<QueryReply> HandleQuery(int shard, std::uint64_t txn,
+                                   std::uint64_t trace_id,
+                                   const QueryRequest& request);
+  StatusOr<Ack> HandleMigrate(int shard, std::uint64_t txn,
+                              std::uint64_t trace_id,
+                              const MigrateRequest& request);
 
   const ProblemInstance* instance_;
   ShardedOptions options_;
@@ -570,15 +617,15 @@ class ShardedArrangementService {
   std::vector<std::vector<std::size_t>> cursors_;
   std::mutex merge_mu_;
 
-  // Transport state (null/empty without ConfigureTransport).
+  // Network state (null/empty without ConfigureTransport).
   SimulatedNetwork* net_ = nullptr;
   ShardTransportOptions topts_;
   std::unique_ptr<ShardClient> client_;
   std::vector<std::unique_ptr<ShardServer>> servers_;
-  /// Serializes the transport path (gateway calls + pumps).
+  /// Serializes the network path (gateway calls + pumps).
   std::mutex net_mu_;
   mutable std::mutex undelivered_mu_;
-  std::deque<UndeliveredPortion> undelivered_;
+  std::vector<UndeliveredPortion> undelivered_;
 
   std::function<bool(std::uint64_t)> crash_after_decision_;
   std::function<bool(int)> rebalance_crash_hook_;

@@ -61,21 +61,27 @@ ConflictGraph ConflictGraph::Random(std::size_t n, double conflict_ratio,
       std::llround(conflict_ratio * static_cast<double>(total_pairs)));
   if (want == total_pairs) return Complete(n);
   // Sample `want` distinct pair indices without replacement, then decode
-  // the linear index k into the pair (a, b), a < b.
+  // the linear index k into the pair (a, b), a < b. Row a holds the
+  // n-1-a pairs that start at a, so the rows before it hold a(2n-a-1)/2
+  // pairs, and k's row is the floor of that quadratic's root. The
+  // floating-point root is exact here: at a row start it is an integer
+  // computed from exact squares, and elsewhere it sits at least ~1/n
+  // below the next integer, far above the rounding error for any n a
+  // dense graph can hold. The check guards that.
   const std::vector<std::int64_t> picks = SampleWithoutReplacement(
       rng, static_cast<std::int64_t>(total_pairs),
       static_cast<std::int64_t>(want));
+  const auto pairs_before_row = [n](std::uint64_t a) {
+    return a * (2 * n - a - 1) / 2;
+  };
+  const double m = 2.0 * static_cast<double>(n) - 1.0;
   for (std::int64_t k : picks) {
-    // Row a contains pairs with first index a: (n-1-a) of them, laid out
-    // consecutively. Walk rows; fine for generation-time code.
-    std::uint64_t remaining = static_cast<std::uint64_t>(k);
-    std::size_t a = 0;
-    while (remaining >= n - 1 - a) {
-      remaining -= n - 1 - a;
-      ++a;
-    }
-    const std::size_t b = a + 1 + static_cast<std::size_t>(remaining);
-    g.AddConflict(a, b);
+    const auto index = static_cast<std::uint64_t>(k);
+    const auto a = static_cast<std::uint64_t>(
+        (m - std::sqrt(m * m - 8.0 * static_cast<double>(index))) / 2.0);
+    FASEA_CHECK(pairs_before_row(a) <= index &&
+                index < pairs_before_row(a + 1));
+    g.AddConflict(a, a + 1 + (index - pairs_before_row(a)));
   }
   return g;
 }

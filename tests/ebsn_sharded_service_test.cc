@@ -1,17 +1,19 @@
 // ShardedArrangementService: partitioned serving with the two-phase
 // cross-shard protocol. Covers feasibility of spilled-over rounds,
 // capacity accounting, per-shard WAL recovery, the mid-commit
-// coordinator crash, participant death (presumed abort), and the
-// learner delta-merge.
+// coordinator crash (also with a participant dead), participant death
+// (presumed abort), the learner delta-merge, and concurrent callers.
 #include "ebsn/sharded_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,8 +29,8 @@ namespace {
 constexpr std::size_t kEvents = 16;
 constexpr std::size_t kDim = 3;
 
-ProblemInstance MakeInstance() {
-  std::vector<std::int64_t> capacities(kEvents, 4);
+ProblemInstance MakeInstance(std::int64_t capacity = 4) {
+  std::vector<std::int64_t> capacities(kEvents, capacity);
   ConflictGraph conflicts(kEvents);
   for (std::size_t v = 0; v + 1 < kEvents; ++v) {
     conflicts.AddConflict(v, v + 1);  // A ring: cross-shard edges exist.
@@ -362,6 +364,140 @@ TEST(ShardedServiceTest, RejectsBadInput) {
   EXPECT_EQ(service.KillShard(7).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service.RecoverShard(0).status().code(),
             StatusCode::kFailedPrecondition);  // Alive — kill it first.
+}
+
+TEST(ShardedServiceTest, InterruptedTxnWithADeadParticipantCommitsOnRecovery) {
+  // The coordinator crashes between the phases and one participant dies
+  // too. The coordinator's recovery cannot finish that participant's
+  // portion; the participant's own recovery resolves its reservation
+  // against the recovered decision.
+  const ProblemInstance instance = MakeInstance();
+  ShardedArrangementService service(&instance, Opts(4));
+  ASSERT_TRUE(service
+                  .AttachWals(Env::Default(),
+                              FreshShardedDir("shard_dead_participant", 4))
+                  .ok());
+  const ShardRouter& router = service.router();
+  auto served = service.ServeUser(0, 6, MakeContexts(3));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const int home = served->home_shard;
+  int participant = -1;
+  for (EventId v : served->arrangement) {
+    if (router.OwnerShard(v) != home) {
+      participant = router.OwnerShard(v);
+      break;
+    }
+  }
+  ASSERT_GE(participant, 0) << "no spillover happened — weak test";
+  std::map<EventId, std::int64_t> remaining_before;
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    remaining_before[v] = service.shard_service(router.OwnerShard(v))
+                              ->state()
+                              .remaining(router.LocalId(v));
+  }
+
+  service.set_crash_after_decision_hook(
+      [target = served->txn](std::uint64_t txn) { return txn == target; });
+  Feedback feedback(served->arrangement.size(), 1);
+  ASSERT_EQ(service.SubmitFeedback(served->txn, feedback).code(),
+            StatusCode::kUnavailable);
+  service.set_crash_after_decision_hook(nullptr);
+  ASSERT_TRUE(service.KillShard(home).ok());
+  ASSERT_TRUE(service.KillShard(participant).ok());
+
+  auto home_report = service.RecoverShard(home);
+  ASSERT_TRUE(home_report.ok()) << home_report.status().ToString();
+  auto participant_report = service.RecoverShard(participant);
+  ASSERT_TRUE(participant_report.ok())
+      << participant_report.status().ToString();
+  EXPECT_EQ(participant_report->reservations_in_doubt, 1);
+  EXPECT_EQ(participant_report->resolved_committed, 1);
+  EXPECT_EQ(participant_report->resolved_aborted, 0);
+  EXPECT_EQ(service.OpenReservations(), 0);
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    const std::int64_t consumed =
+        static_cast<std::int64_t>(std::count(served->arrangement.begin(),
+                                             served->arrangement.end(), v));
+    EXPECT_EQ(service.shard_service(router.OwnerShard(v))
+                  ->state()
+                  .remaining(router.LocalId(v)),
+              remaining_before[v] - consumed)
+        << "event " << v;
+  }
+}
+
+TEST(ShardedServiceTest, ConcurrentCallersServeInParallelWithoutANetwork) {
+  // Without a network the protocol runs on the loopback, which takes no
+  // gateway lock: callers on different homes proceed in parallel, and a
+  // busy shard answers retryably.
+  constexpr std::int64_t kCapacity = 400;
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kRounds = 800;
+  const ProblemInstance instance = MakeInstance(kCapacity);
+  ShardedArrangementService service(&instance, Opts(4));
+  const auto retryable = [](StatusCode code) {
+    return code == StatusCode::kFailedPrecondition ||
+           code == StatusCode::kUnavailable ||
+           code == StatusCode::kResourceExhausted;
+  };
+
+  std::atomic<std::int64_t> completed{0};
+  std::vector<std::map<EventId, std::int64_t>> accepted(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      const Matrix contexts = MakeContexts(static_cast<std::uint64_t>(w));
+      for (std::int64_t i = 0; completed.load() < kRounds; ++i) {
+        auto served = service.ServeUser(w, 6, contexts);
+        if (!served.ok()) {
+          if (retryable(served.status().code())) {
+            std::this_thread::yield();
+            continue;
+          }
+          errors[w] = served.status().ToString();
+          return;
+        }
+        Feedback feedback(served->arrangement.size());
+        for (std::size_t j = 0; j < feedback.size(); ++j) {
+          feedback[j] = static_cast<std::uint8_t>((i + j + w) % 2);
+        }
+        Status st = service.SubmitFeedback(served->txn, feedback);
+        while (!st.ok() && retryable(st.code())) {
+          std::this_thread::yield();
+          st = service.SubmitFeedback(served->txn, feedback);
+        }
+        if (!st.ok()) {
+          errors[w] = st.ToString();
+          return;
+        }
+        for (std::size_t j = 0; j < feedback.size(); ++j) {
+          accepted[w][served->arrangement[j]] += feedback[j];
+        }
+        completed.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const std::string& error : errors) EXPECT_EQ(error, "");
+
+  EXPECT_EQ(service.rounds_completed(), completed.load());
+  EXPECT_GE(completed.load(), kRounds);
+  EXPECT_EQ(service.OpenReservations(), 0);
+  EXPECT_GT(service.Stats().cross_shard_rounds, 0);
+  const ShardRouter& router = service.router();
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    std::int64_t total = 0;
+    for (const auto& mine : accepted) {
+      const auto it = mine.find(v);
+      if (it != mine.end()) total += it->second;
+    }
+    EXPECT_EQ(service.shard_service(router.OwnerShard(v))
+                  ->state()
+                  .remaining(router.LocalId(v)),
+              kCapacity - total)
+        << "event " << v;
+  }
 }
 
 }  // namespace

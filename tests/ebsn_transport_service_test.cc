@@ -1,8 +1,9 @@
 // ShardedArrangementService over the simulated network: the message
-// path must produce the same arrangements as the in-process path on a
-// clean fabric, survive drop/duplicate/reorder faults without double
-// reservation, park and redeliver lost committed portions, and expire
-// abandoned stages to presumed-abort via leases.
+// path must produce the same arrangements as the loopback (no network
+// attached) on a clean fabric, survive drop/duplicate/reorder faults
+// without double reservation, park and redeliver lost committed
+// portions, expire abandoned stages to presumed-abort via leases, and
+// close every stage a crash path resolves before its lease can fire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -314,6 +315,140 @@ TEST(TransportServiceTest, DecisionQueryAnswersOverTheTransport) {
               instance.capacity(v) - consumed[v])
         << "event " << v;
   }
+}
+
+/// Every live shard's events hold their capacity minus the accepted
+/// count `consumed` records.
+void ExpectConsumedExactly(const ShardedArrangementService& service,
+                           const ProblemInstance& instance,
+                           const std::map<EventId, std::int64_t>& consumed) {
+  const ShardRouter& router = service.router();
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    const ArrangementService* inner =
+        service.shard_service(router.OwnerShard(v));
+    if (inner == nullptr) continue;
+    const auto it = consumed.find(v);
+    EXPECT_EQ(inner->state().remaining(router.LocalId(v)),
+              instance.capacity(v) - (it == consumed.end() ? 0 : it->second))
+        << "event " << v;
+  }
+}
+
+TEST(TransportServiceTest, ParticipantDeathClosesTheSurvivorsStages) {
+  // KillShard rolls a dead participant's transactions back on the
+  // surviving shards. Their stages must close with them: a stale
+  // stage's lease expires later, and its force-abort would hit whichever
+  // round has since reused the round id.
+  const ProblemInstance instance = MakeInstance();
+  SimulatedNetwork net(/*seed=*/29);  // Must outlive the service.
+  ShardedArrangementService service(&instance, Opts(4));
+  ShardTransportOptions topts;
+  topts.lease_ticks = 20;
+  ASSERT_TRUE(service.ConfigureTransport(&net, topts).ok());
+  const ShardRouter& router = service.router();
+
+  // txn 1 is homed on shard 0 (round-robin) and spills over.
+  const std::int64_t first_lease = net.now() + topts.lease_ticks;
+  auto first = service.ServeUser(0, 6, MakeContexts(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->home_shard, 0);
+  int participant = -1;
+  for (EventId v : first->arrangement) {
+    if (router.OwnerShard(v) != 0) participant = router.OwnerShard(v);
+  }
+  ASSERT_GE(participant, 0) << "no spillover happened — weak test";
+  ASSERT_TRUE(service.KillShard(participant).ok());
+  net.Tick(10);
+
+  // txns 2-4 stay off shard 0: capacity 1 fills at home, and the dead
+  // participant's turn is refused. txn 5 is homed on shard 0 again and
+  // reuses the round id of txn 1's rolled-back stage.
+  std::map<EventId, std::int64_t> consumed;
+  for (int i = 1; i <= 3; ++i) {
+    auto served = service.ServeUser(i, 1, MakeContexts(1 + i));
+    if (!served.ok()) {
+      EXPECT_EQ(served.status().code(), StatusCode::kUnavailable);
+      continue;
+    }
+    ASSERT_NE(served->home_shard, 0);
+    Feedback feedback(served->arrangement.size(), 1);
+    ASSERT_TRUE(service.SubmitFeedback(served->txn, feedback).ok());
+    for (EventId v : served->arrangement) ++consumed[v];
+  }
+  auto fifth = service.ServeUser(4, 1, MakeContexts(5));
+  ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
+  ASSERT_EQ(fifth->txn, 5u);
+  ASSERT_EQ(fifth->home_shard, 0);
+
+  // Past txn 1's lease, inside txn 5's: the sweep finds nothing of
+  // txn 1 left to abort, and txn 5 commits.
+  while (net.now() <= first_lease + 2) net.Tick();
+  ASSERT_TRUE(service.PumpTransport().ok());
+  Feedback feedback(fifth->arrangement.size(), 1);
+  Status st = service.SubmitFeedback(fifth->txn, feedback);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (EventId v : fifth->arrangement) ++consumed[v];
+  EXPECT_EQ(service.OpenReservations(), 0);
+  ExpectConsumedExactly(service, instance, consumed);
+}
+
+TEST(TransportServiceTest, RecoveredCoordinatorClosesItsParticipantsStages) {
+  // After a coordinator crash between the phases, RecoverShard finishes
+  // the participants' portions. Their stages must close as well, or
+  // their leases keep expiring and renewing against the decision.
+  Env* env = Env::Default();
+  const std::string dir =
+      ::testing::TempDir() + "fasea_transport_interrupted";
+  (void)env->CreateDir(dir);
+  for (int s = 0; s < 4; ++s) {
+    const std::string sub = ShardWalDirName(dir, s);
+    if (auto names = env->ListDir(sub); names.ok()) {
+      for (const std::string& file : *names) {
+        (void)env->DeleteFile(JoinPath(sub, file));
+      }
+    }
+  }
+  const ProblemInstance instance = MakeInstance();
+  SimulatedNetwork net(/*seed=*/31);  // Must outlive the service.
+  ShardedArrangementService service(&instance, Opts(4));
+  ASSERT_TRUE(service.AttachWals(env, dir).ok());
+  ShardTransportOptions topts;
+  topts.lease_ticks = 20;
+  ASSERT_TRUE(service.ConfigureTransport(&net, topts).ok());
+
+  auto served = service.ServeUser(0, 6, MakeContexts(6));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const ShardRouter& router = service.router();
+  const int home = served->home_shard;
+  ASSERT_TRUE(std::any_of(served->arrangement.begin(),
+                          served->arrangement.end(),
+                          [&](EventId v) {
+                            return router.OwnerShard(v) != home;
+                          }))
+      << "no spillover happened — weak test";
+
+  service.set_crash_after_decision_hook(
+      [target = served->txn](std::uint64_t txn) { return txn == target; });
+  Feedback feedback(served->arrangement.size(), 1);
+  ASSERT_EQ(service.SubmitFeedback(served->txn, feedback).code(),
+            StatusCode::kUnavailable);
+  service.set_crash_after_decision_hook(nullptr);
+  ASSERT_TRUE(service.KillShard(home).ok());
+  auto report = service.RecoverShard(home);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->interrupted_completed, 1);
+  EXPECT_EQ(service.OpenReservations(), 0);
+
+  // Nothing is left open, so no lease ever expires again.
+  const std::int64_t expired = service.Stats().leases_expired;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    net.Tick(25);
+    ASSERT_TRUE(service.PumpTransport().ok());
+  }
+  EXPECT_EQ(service.Stats().leases_expired, expired);
+  std::map<EventId, std::int64_t> consumed;
+  for (EventId v : served->arrangement) ++consumed[v];
+  ExpectConsumedExactly(service, instance, consumed);
 }
 
 }  // namespace

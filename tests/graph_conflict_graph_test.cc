@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "rng/distributions.h"
 #include "rng/pcg64.h"
 
 namespace fasea {
@@ -117,6 +120,31 @@ TEST(ConflictGraphTest, RandomEdgesAreValidAndDistinct) {
     EXPECT_LT(e.first, e.second);
     EXPECT_LT(e.second, 30u);
     EXPECT_TRUE(seen.insert(e).second);
+  }
+}
+
+TEST(ConflictGraphTest, RandomDecodesEveryPairIndexLikeARowWalk) {
+  // Reference: the same sampled pair indices, each decoded by walking
+  // the rows of the pair layout one at a time.
+  for (const auto& [n, cr] : std::vector<std::pair<std::size_t, double>>{
+           {2, 0.0}, {3, 0.67}, {7, 0.9}, {64, 0.999}, {301, 0.9},
+           {10000, 0.0001}}) {
+    Pcg64 a(11), b(11);
+    const ConflictGraph g = ConflictGraph::Random(n, cr, a);
+    const std::int64_t total = static_cast<std::int64_t>(n * (n - 1) / 2);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> expected;
+    for (std::int64_t k : SampleWithoutReplacement(
+             b, total,
+             std::llround(cr * static_cast<double>(total)))) {
+      std::uint32_t row = 0;
+      for (std::uint32_t width = static_cast<std::uint32_t>(n) - 1;
+           k >= width; --width) {
+        k -= width;
+        ++row;
+      }
+      expected.emplace_back(row, row + 1 + static_cast<std::uint32_t>(k));
+    }
+    EXPECT_EQ(g.edges(), expected) << "n=" << n << " cr=" << cr;
   }
 }
 
