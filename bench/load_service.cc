@@ -10,11 +10,12 @@
 // the serialized pipeline under contention — lock overhead, fairness,
 // and the per-call latency distribution — not speedup.
 //
-// --batch=B switches the service to the snapshot-read batched protocol
-// (ConfigureBatching + ServeUserBatched/SubmitBatchedFeedback): arrivals
-// coalesce into batches of up to B, scoring runs against immutable
-// learner snapshots with no round lock held, and workers never contend
-// on a pending round — the concurrency the sequential protocol forbids.
+// --batched switches the service to the snapshot-read batched protocol
+// (ConfigureBatching + ServeUserBatched/SubmitBatchedFeedback): each
+// worker scores its own arrival against an immutable learner snapshot
+// with no round lock held, capacity resolves in ticket order, and
+// workers never contend on a pending round — the concurrency the
+// sequential protocol forbids.
 //
 // Latency percentiles come from the process metrics registry (the same
 // `fasea.serve.latency_ns` / `fasea.feedback.latency_ns` histograms
@@ -25,12 +26,12 @@
 // wall-clock stopwatch over the measured phase only.
 //
 //   load_service --threads=8 --rounds=20000 --warmup=2000
-//   load_service --threads=8 --rounds=20000 --warmup=2000 --batch=8
+//   load_service --threads=8 --rounds=20000 --warmup=2000 --batched
 //   load_service --threads=4 --policy=ts --wal_dir=/tmp/load_wal
 //
 // --shards=N routes the load through ShardedArrangementService instead
 // (N=1 degenerates to the full instance, so the 1-vs-N comparison is
-// apples-to-apples; --warmup/--batch apply to the unsharded path only).
+// apples-to-apples; --warmup/--batched apply to the unsharded path only).
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -355,12 +356,9 @@ int main(int argc, char** argv) {
                   "0 drives the single ArrangementService path; N>=1 "
                   "drives ShardedArrangementService with N shards "
                   "(1 = full instance through the sharded path).");
-  flags.DefineInt("batch", 0,
-                  "0 drives the sequential protocol; B>=1 enables batched "
-                  "serving with batches of up to B users.");
-  flags.DefineInt("batch_wait_us", 50,
-                  "Batched mode: coalescing window an arrival holds the "
-                  "batch open for.");
+  flags.DefineBool("batched", false,
+                   "Drive the batched protocol (ConfigureBatching) instead "
+                   "of the sequential one.");
   flags.DefineInt("max_pending", 0,
                   "Batched mode: unresolved rounds allowed at once "
                   "(0 = unlimited).");
@@ -378,7 +376,7 @@ int main(int argc, char** argv) {
                           : static_cast<int>(flags.GetInt("threads"));
   const std::int64_t target_rounds = flags.GetInt("rounds");
   const std::int64_t warmup_rounds = flags.GetInt("warmup");
-  const int batch = static_cast<int>(flags.GetInt("batch"));
+  const bool batched = flags.GetBool("batched");
   FASEA_CHECK(target_rounds >= 1);
   FASEA_CHECK(warmup_rounds >= 0);
 
@@ -406,9 +404,9 @@ int main(int argc, char** argv) {
 
   if (const int shards = static_cast<int>(flags.GetInt("shards"));
       shards >= 1) {
-    if (batch >= 1) {
+    if (batched) {
       std::fprintf(stderr,
-                   "load_service: --batch and --shards are mutually "
+                   "load_service: --batched and --shards are mutually "
                    "exclusive\n");
       return 2;
     }
@@ -430,10 +428,8 @@ int main(int argc, char** argv) {
     }
     service.AttachWal(std::move(wal).value());
   }
-  if (batch >= 1) {
+  if (batched) {
     BatchingOptions batching;
-    batching.max_batch = batch;
-    batching.max_wait_us = flags.GetInt("batch_wait_us");
     batching.max_pending = static_cast<int>(flags.GetInt("max_pending"));
     service.ConfigureBatching(batching);
   }
@@ -452,14 +448,14 @@ int main(int argc, char** argv) {
               threads, static_cast<long long>(target_rounds),
               static_cast<long long>(warmup_rounds),
               flags.GetString("policy").c_str(),
-              batch >= 1 ? "batched" : "sequential", config.num_events,
+              batched ? "batched" : "sequential", config.num_events,
               config.dim, service.wal_attached() ? "on" : "off");
 
   std::int64_t warmup_served = 0;
   if (warmup_rounds > 0) {
     PhaseResult warm = RunPhase(
         service, **world, rounds, threads, warmup_rounds,
-        DeriveSeed(config.seed, "load-warmup"), batch >= 1);
+        DeriveSeed(config.seed, "load-warmup"), batched);
     if (warm.aborted) {
       std::fprintf(stderr, "load_service: aborted during warmup\n");
       return 1;
@@ -472,7 +468,7 @@ int main(int argc, char** argv) {
   const RegistrySnapshot before = Metrics()->Snapshot();
   PhaseResult run =
       RunPhase(service, **world, rounds, threads, target_rounds,
-               config.seed, batch >= 1);
+               config.seed, batched);
   const WorkerTotals& sum = run.sum;
   if (run.aborted) {
     std::fprintf(stderr,
@@ -496,17 +492,20 @@ int main(int argc, char** argv) {
   if (sum.served < target_rounds) ++invariant_violations;
 
   const double seconds = run.seconds;
-  // `unit` follows each value: "ns" for latencies, " users" for sizes.
-  const auto percentiles = [&](const char* name, const char* unit) {
+  // `unit` follows each value; `label` (default: the metric name) heads
+  // the line.
+  const auto percentiles = [&](const char* name, const char* unit,
+                               const char* label = nullptr) {
     const HistogramSnapshot hist =
         HistogramByName(after, name).DeltaSince(HistogramByName(before, name));
+    if (label == nullptr) label = name;
     if (hist.count == 0) {
-      std::printf("  %-26s (no samples)\n", name);
+      std::printf("  %-26s (no samples)\n", label);
       return;
     }
     std::printf("  %-26s p50=%lld%s p95=%lld%s p99=%lld%s max=%lld%s "
                 "(n=%lld)\n",
-                name, static_cast<long long>(hist.ValueAtPercentile(50)), unit,
+                label, static_cast<long long>(hist.ValueAtPercentile(50)), unit,
                 static_cast<long long>(hist.ValueAtPercentile(95)), unit,
                 static_cast<long long>(hist.ValueAtPercentile(99)), unit,
                 static_cast<long long>(hist.max), unit,
@@ -526,9 +525,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(sum.retries_exhausted));
   percentiles("fasea.serve.latency_ns", "ns");
   percentiles("fasea.feedback.latency_ns", "ns");
-  if (batch >= 1) {
-    percentiles("fasea.batch.size", " users");
-    percentiles("fasea.batch.wait_ns", "ns");
+  if (batched) {
+    // fasea.batch.wait_ns: from the end of an arrival's scoring to the
+    // start of its capacity resolution (round-mutex acquire + turn wait).
+    percentiles("fasea.batch.wait_ns", "ns", "resolve wait");
   }
   std::printf("  invariant violations       %lld\n",
               static_cast<long long>(invariant_violations));

@@ -6,7 +6,7 @@
 // decouples the two: SubmitBatchedFeedback builds a fresh snapshot after
 // each Learn and swaps it in behind a shared_ptr (readers hold the old
 // epoch until they drop it — no reader ever sees a half-written state),
-// and ServeUserBatched scores whole batches against the snapshot with no
+// and ServeUserBatched scores each arrival against the snapshot with no
 // lock held. Scoring against epoch E while E+1 commits is the
 // deliberately accepted staleness (one round of feedback, the same
 // slack epoch-based learners tolerate by design); capacities are NOT

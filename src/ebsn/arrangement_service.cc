@@ -1,7 +1,7 @@
 #include "ebsn/arrangement_service.h"
 
-#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/hash.h"
@@ -32,21 +32,6 @@ bool LockWithDeadline(std::unique_lock<std::timed_mutex>& lock,
 }
 
 }  // namespace
-
-/// One queued ServeUserBatched call. Lives on the calling thread's stack;
-/// the queue holds pointers, valid until `done` flips under batch_mu_.
-/// `result` is written by the batch leader while the owner is blocked and
-/// read by the owner only after observing `done` — the mutex hand-off is
-/// the synchronization.
-struct ArrangementService::BatchWaiter {
-  std::int64_t ticket = 0;
-  RoundContext round;
-  std::int64_t enqueue_ns = 0;
-  bool claimed = false;
-  bool done = false;
-  StatusOr<BatchedRound> result{
-      FailedPreconditionError("batched round was never resolved")};
-};
 
 std::string_view HealthStateName(HealthState state) {
   switch (state) {
@@ -145,13 +130,14 @@ void ArrangementService::ConfigureOverload(const OverloadOptions& options) {
 }
 
 void ArrangementService::ConfigureBatching(const BatchingOptions& options) {
-  FASEA_CHECK(options.max_batch >= 1);
-  FASEA_CHECK(options.max_wait_us >= 0);
   FASEA_CHECK(options.max_pending >= 0);
   std::lock_guard<std::timed_mutex> lock(mu_);
   FASEA_CHECK(dynamic_cast<const LinearPolicyBase*>(policy_.get()) !=
                   nullptr &&
               "batched serving needs a ridge learner to snapshot");
+  FASEA_CHECK(kind_ != PolicyKind::kBoltzmann &&
+              "the sequential softmax draw has no per-row snapshot rule; "
+              "batched scoring would serve Exploit");
   FASEA_CHECK(decision_log_ == nullptr &&
               "decision-log propensities are defined against live state; "
               "detach the decision log before enabling batching");
@@ -237,34 +223,19 @@ HealthSnapshot ArrangementService::Health() const {
   return snapshot;
 }
 
-StatusOr<Arrangement> ArrangementService::ServeUser(
-    std::int64_t user_id, std::int64_t user_capacity,
-    const ContextMatrix& contexts, const Deadline& deadline) {
-  return ServeUser(user_id, user_capacity, contexts,
-                   std::vector<std::uint8_t>{}, deadline);
-}
-
-StatusOr<Arrangement> ArrangementService::ServeUser(
-    std::int64_t user_id, std::int64_t user_capacity,
-    const ContextMatrix& contexts, std::vector<std::uint8_t> available,
-    const Deadline& deadline) {
+Status ArrangementService::Admit(InflightLimiter::Permit* permit) {
   // Admission control runs before the round mutex: shedding exists
   // precisely to keep excess callers from queueing on the pipeline.
   if (lame_duck_.load(std::memory_order_relaxed)) {
     serve_errors_metric_->Increment();
     return UnavailableError("service is draining (lame duck)");
   }
-  if (batching_enabled_.load(std::memory_order_acquire)) {
-    serve_errors_metric_->Increment();
-    return FailedPreconditionError(
-        "service is in batched mode; use ServeUserBatched");
-  }
   // Compare-and-admit: the permit is granted only while the count is
   // strictly below the limit, so exactly max_inflight callers can hold
   // one at a time (a racing overflow caller can never push an admitted
   // one over the limit and make both shed).
-  InflightLimiter::Permit permit = inflight_.TryAcquire(overload_.max_inflight);
-  if (!permit.admitted()) {
+  *permit = inflight_.TryAcquire(overload_.max_inflight);
+  if (!permit->admitted()) {
     rounds_shed_.fetch_add(1, std::memory_order_relaxed);
     shed_metric_->Increment();
     return ResourceExhaustedError(StrFormat(
@@ -277,6 +248,27 @@ StatusOr<Arrangement> ArrangementService::ServeUser(
         StrFormat("overloaded: admission rate limit of %.1f rps exceeded",
                   overload_.max_rps));
   }
+  return Status::Ok();
+}
+
+StatusOr<Arrangement> ArrangementService::ServeUser(
+    std::int64_t user_id, std::int64_t user_capacity,
+    const ContextMatrix& contexts, const Deadline& deadline) {
+  return ServeUser(user_id, user_capacity, contexts,
+                   std::vector<std::uint8_t>{}, deadline);
+}
+
+StatusOr<Arrangement> ArrangementService::ServeUser(
+    std::int64_t user_id, std::int64_t user_capacity,
+    const ContextMatrix& contexts, std::vector<std::uint8_t> available,
+    const Deadline& deadline) {
+  if (batching_enabled_.load(std::memory_order_acquire)) {
+    serve_errors_metric_->Increment();
+    return FailedPreconditionError(
+        "service is in batched mode; use ServeUserBatched");
+  }
+  InflightLimiter::Permit permit;
+  if (Status st = Admit(&permit); !st.ok()) return st;
 
   std::unique_lock<std::timed_mutex> lock(mu_, std::defer_lock);
   if (!LockWithDeadline(lock, deadline)) {
@@ -379,7 +371,8 @@ StatusOr<Arrangement> ArrangementService::ServeUser(
   return arrangement;
 }
 
-Status ArrangementService::WalAppendLocked(std::string_view encoded) {
+Status ArrangementService::WalAppendLocked(std::string_view encoded,
+                                           std::int64_t t) {
   if (wal_->broken()) {
     // Only a fresh writer (new segment) can accept frames again; sealed
     // or torn bytes are never rewritten.
@@ -393,16 +386,17 @@ Status ArrangementService::WalAppendLocked(std::string_view encoded) {
     ++wal_reopens_;
     wal_reopens_metric_->Increment();
   }
-  wal_->set_trace_round(t_);
+  wal_->set_trace_round(t);
   return wal_->Append(encoded);
 }
 
 Status ArrangementService::WalWriteAheadLocked(const std::string& encoded,
+                                               std::int64_t t,
                                                bool* durable) {
   *durable = false;
   if (wal_ == nullptr || wal_degraded_) return Status::Ok();
   if (breaker_ == nullptr) {
-    wal_->set_trace_round(t_);
+    wal_->set_trace_round(t);
     if (Status st = wal_->Append(encoded); st.ok()) {
       *durable = true;
     } else {
@@ -428,7 +422,7 @@ Status ArrangementService::WalWriteAheadLocked(const std::string& encoded,
     ++nondurable_rounds_;
     nondurable_metric_->Increment();
   } else {
-    Status st = WalAppendLocked(encoded);
+    Status st = WalAppendLocked(encoded, t);
     if (st.ok()) {
       breaker_->RecordSuccess();
       *durable = true;
@@ -448,6 +442,66 @@ Status ArrangementService::WalWriteAheadLocked(const std::string& encoded,
       nondurable_metric_->Increment();
     }
   }
+  return Status::Ok();
+}
+
+Status ArrangementService::CommitRoundLocked(std::int64_t t,
+                                             const RoundContext& round,
+                                             const Arrangement& arrangement,
+                                             const Feedback& feedback,
+                                             std::uint64_t trace_id,
+                                             bool* durable) {
+  if (feedback.size() != arrangement.size()) {
+    feedback_errors_metric_->Increment();
+    return InvalidArgumentError(
+        "feedback must align with the proposed arrangement");
+  }
+  for (std::uint8_t f : feedback) {
+    if (f > 1) {
+      feedback_errors_metric_->Increment();
+      return InvalidArgumentError("feedback entries must be 0/1");
+    }
+  }
+
+  InteractionRecord record;
+  std::string encoded;
+  {
+    TraceSpan span("feedback.encode", t, TraceRing::Global(), nullptr,
+                   trace_id);
+    record.t = t;
+    record.user_id = round.user_id;
+    record.user_capacity = round.user_capacity;
+    record.arrangement = arrangement;
+    record.feedback = feedback;
+    for (EventId v : arrangement) {
+      const auto row = round.contexts.Row(v);
+      record.contexts.emplace_back(row.begin(), row.end());
+    }
+    if (wal_ != nullptr && !wal_degraded_) {
+      encoded = EncodeInteractionRecord(record);
+    }
+  }
+
+  // Write-ahead: the interaction must be durable (per the writer's fsync
+  // policy) before any state changes, so a crash between here and the end
+  // of this function loses nothing that was applied.
+  if (Status st = WalWriteAheadLocked(encoded, t, durable); !st.ok()) {
+    return st;
+  }
+
+  for (std::size_t i = 0; i < feedback.size(); ++i) {
+    if (feedback[i]) state_.ConsumeOne(arrangement[i]);
+  }
+  {
+    TraceSpan span("feedback.learn", t, TraceRing::Global(), nullptr,
+                   trace_id);
+    policy_->Learn(t, round, arrangement, feedback);
+  }
+  accepted_events_metric_->Add(
+      static_cast<std::int64_t>(NumAccepted(feedback)));
+  FASEA_CHECK_OK(log_.Append(std::move(record)));
+  feedback_rounds_metric_->Increment();
+  UpdateHealthGaugeLocked();
   return Status::Ok();
 }
 
@@ -473,59 +527,13 @@ Status ArrangementService::SubmitFeedback(const Feedback& feedback,
     feedback_errors_metric_->Increment();
     return FailedPreconditionError("no arrangement is awaiting feedback");
   }
-  if (feedback.size() != pending_arrangement_.size()) {
-    feedback_errors_metric_->Increment();
-    return InvalidArgumentError(
-        "feedback must align with the proposed arrangement");
-  }
-  for (std::uint8_t f : feedback) {
-    if (f > 1) {
-      feedback_errors_metric_->Increment();
-      return InvalidArgumentError("feedback entries must be 0/1");
-    }
-  }
-
-  InteractionRecord record;
-  std::string encoded;
-  {
-    TraceSpan span("feedback.encode", t_, TraceRing::Global(), nullptr,
-                   pending_trace_id_);
-    record.t = t_;
-    record.user_id = pending_round_.user_id;
-    record.user_capacity = pending_round_.user_capacity;
-    record.arrangement = pending_arrangement_;
-    record.feedback = feedback;
-    for (EventId v : pending_arrangement_) {
-      const auto row = pending_round_.contexts.Row(v);
-      record.contexts.emplace_back(row.begin(), row.end());
-    }
-    if (wal_ != nullptr && !wal_degraded_) {
-      encoded = EncodeInteractionRecord(record);
-    }
-  }
-
-  // Write-ahead: the interaction must be durable (per the writer's fsync
-  // policy) before any state changes, so a crash between here and the end
-  // of this function loses nothing that was applied.
   bool durable = false;
-  if (Status st = WalWriteAheadLocked(encoded, &durable); !st.ok()) {
+  if (Status st = CommitRoundLocked(t_, pending_round_, pending_arrangement_,
+                                    feedback, pending_trace_id_, &durable);
+      !st.ok()) {
     return st;
   }
-
-  for (std::size_t i = 0; i < feedback.size(); ++i) {
-    if (feedback[i]) state_.ConsumeOne(pending_arrangement_[i]);
-  }
-  {
-    TraceSpan span("feedback.learn", t_, TraceRing::Global(), nullptr,
-                   pending_trace_id_);
-    policy_->Learn(t_, pending_round_, pending_arrangement_, feedback);
-  }
-  accepted_events_metric_->Add(
-      static_cast<std::int64_t>(NumAccepted(feedback)));
-  FASEA_CHECK_OK(log_.Append(std::move(record)));
   pending_ = false;
-  feedback_rounds_metric_->Increment();
-  UpdateHealthGaugeLocked();
   if (result != nullptr) {
     result->round = t_;
     result->durable = durable;
@@ -542,25 +550,8 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
     return FailedPreconditionError(
         "batched serving is not enabled (ConfigureBatching)");
   }
-  if (lame_duck_.load(std::memory_order_relaxed)) {
-    serve_errors_metric_->Increment();
-    return UnavailableError("service is draining (lame duck)");
-  }
-  InflightLimiter::Permit permit =
-      inflight_.TryAcquire(overload_.max_inflight);
-  if (!permit.admitted()) {
-    rounds_shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_metric_->Increment();
-    return ResourceExhaustedError(StrFormat(
-        "overloaded: in-flight limit of %d reached", overload_.max_inflight));
-  }
-  if (rate_limiter_ != nullptr && !rate_limiter_->TryAcquire()) {
-    rounds_shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_metric_->Increment();
-    return ResourceExhaustedError(
-        StrFormat("overloaded: admission rate limit of %.1f rps exceeded",
-                  overload_.max_rps));
-  }
+  InflightLimiter::Permit permit;
+  if (Status st = Admit(&permit); !st.ok()) return st;
   if (batching_.max_pending > 0 &&
       pending_batched_count_.load(std::memory_order_relaxed) >=
           batching_.max_pending) {
@@ -576,209 +567,85 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     deadline_exceeded_metric_->Increment();
     return DeadlineExceededError(
-        "deadline expired before the round was enqueued");
+        "deadline expired before the round was ticketed");
   }
 
-  BatchWaiter waiter;
-  waiter.round.contexts = contexts;
-  waiter.round.user_capacity = user_capacity;
-  waiter.round.user_id = user_id;
-  if (Status st = ValidateRoundContext(waiter.round, instance_->num_events(),
+  RoundContext round;
+  round.contexts = contexts;
+  round.user_capacity = user_capacity;
+  round.user_id = user_id;
+  if (Status st = ValidateRoundContext(round, instance_->num_events(),
                                        instance_->dim());
       !st.ok()) {
     serve_errors_metric_->Increment();
     return st;
   }
-  waiter.enqueue_ns = Stopwatch::NowNanos();
+  const std::int64_t start_ns = Stopwatch::NowNanos();
+  Matrix scores(1, instance_->num_events());
 
-  // Leader/follower coalescing: every arrival enqueues; the front
-  // unclaimed waiter claims a batch once it is full, the coalescing
-  // window has passed, or every admitted arrival is already queued.
-  // Claiming threads process their batch themselves — there is no
-  // background thread to keep alive or drain at shutdown — and several
-  // claimed batches score concurrently (resolution is sequenced by
-  // claim order inside ProcessBatch).
-  std::vector<BatchWaiter*> batch;
-  std::int64_t batch_seq = 0;
-  {
-    std::unique_lock<std::mutex> lock(batch_mu_);
-    waiter.ticket = ++next_ticket_;
-    batch_queue_.push_back(&waiter);
-    batch_cv_.notify_all();
-    const std::int64_t window_ns = batching_.max_wait_us * 1000;
-    while (!waiter.done) {
-      if (!waiter.claimed && batch_queue_.front() == &waiter) {
-        const bool full =
-            static_cast<int>(batch_queue_.size()) >= batching_.max_batch;
-        // Provably alone: this waiter holds the only admitted in-flight
-        // serve, so no companion can arrive before it resolves — waiting
-        // out the window would add latency without growing the batch.
-        // Under real concurrency the window (or a full batch) governs,
-        // which is what lets arrivals coalesce at all.
-        const bool lone = inflight_.current() <= 1;
-        const bool window_over =
-            Stopwatch::NowNanos() - waiter.enqueue_ns >= window_ns;
-        if (full || lone || window_over) {
-          // Queue wait ends here; scoring and resolution are serve time.
-          const std::int64_t claim_ns = Stopwatch::NowNanos();
-          const std::size_t take =
-              std::min(batch_queue_.size(),
-                       static_cast<std::size_t>(batching_.max_batch));
-          batch.reserve(take);
-          for (std::size_t i = 0; i < take; ++i) {
-            BatchWaiter* w = batch_queue_.front();
-            batch_queue_.pop_front();
-            w->claimed = true;
-            batch_wait_hist_->Record(claim_ns - w->enqueue_ns);
-            batch.push_back(w);
-          }
-          batch_seq = next_batch_seq_++;
-          // The next front may already be claimable (it saw itself
-          // non-front a moment ago).
-          batch_cv_.notify_all();
-          break;
-        }
-      }
-      // Sleep until something can change: the front waiter must wake at
-      // window expiry to claim; unclaimed waiters honor their deadline.
-      std::int64_t wait_ns = -1;  // < 0: wait for a notification.
-      if (!waiter.claimed && batch_queue_.front() == &waiter) {
-        // Clamp: the window can expire between the claim check above and
-        // this read of the clock, and a negative remainder must mean
-        // "recheck immediately", never "sleep unbounded".
-        wait_ns = std::max<std::int64_t>(
-            waiter.enqueue_ns + window_ns - Stopwatch::NowNanos(), 0);
-      }
-      if (!waiter.claimed && !deadline.infinite()) {
-        const std::int64_t remaining = deadline.RemainingNanos();
-        if (remaining <= 0) {
-          // Still unclaimed, so no batch references this waiter yet:
-          // withdrawing is just leaving the queue.
-          auto it = std::find(batch_queue_.begin(), batch_queue_.end(),
-                              &waiter);
-          FASEA_CHECK(it != batch_queue_.end());
-          batch_queue_.erase(it);
-          batch_cv_.notify_all();
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          deadline_exceeded_metric_->Increment();
-          return DeadlineExceededError(
-              "deadline expired while waiting for the batch window");
-        }
-        wait_ns = wait_ns < 0 ? remaining : std::min(wait_ns, remaining);
-      }
-      if (wait_ns < 0) {
-        batch_cv_.wait(lock);
-      } else {
-        batch_cv_.wait_for(lock, std::chrono::nanoseconds(
-                                     std::max<std::int64_t>(wait_ns, 0)));
-      }
-    }
-  }
-
-  if (!batch.empty()) {
-    ProcessBatch(batch, batch_seq);
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    for (BatchWaiter* w : batch) w->done = true;
-    batch_cv_.notify_all();
-  }
-  serve_latency_->Record(Stopwatch::NowNanos() - waiter.enqueue_ns);
-  return std::move(waiter.result);
-}
-
-void ArrangementService::ProcessBatch(
-    const std::vector<BatchWaiter*>& batch, std::int64_t seq) {
-  std::shared_ptr<const LearnerSnapshot> snap;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snap = snapshot_;
-  }
+  // Nothing below may fail or return early: every later arrival waits
+  // for this ticket's resolve turn.
+  const std::int64_t ticket =
+      next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::shared_ptr<const LearnerSnapshot> snap = CurrentSnapshot();
   FASEA_CHECK(snap != nullptr);
-  const std::size_t b = batch.size();
-  std::vector<SnapshotRound> rows(b);
-  for (std::size_t i = 0; i < b; ++i) {
-    rows[i].ticket = batch[i]->ticket;
-    rows[i].round = &batch[i]->round;
-  }
-  Matrix scores(b, instance_->num_events());
-  std::vector<RowResolve> resolve(b, RowResolve::kGreedy);
-  const auto* base = static_cast<const LinearPolicyBase*>(policy_.get());
+  RowResolve resolve = RowResolve::kGreedy;
   if (snap->healthy) {
-    // The expensive step: every user's row scored against the immutable
-    // snapshot with no lock held — feedback commits run in parallel.
-    base->ScoreBatchSnapshot(*snap, rows, &scores,
-                             std::span<RowResolve>(resolve));
+    // The expensive step, on the calling thread against the immutable
+    // snapshot with no lock held: other arrivals and feedback commits run
+    // in parallel with it.
+    const SnapshotRound row{ticket, &round};
+    static_cast<const LinearPolicyBase*>(policy_.get())
+        ->ScoreBatchSnapshot(*snap, std::span<const SnapshotRound>(&row, 1),
+                             &scores, std::span<RowResolve>(&resolve, 1));
   }
+  // An eGreedy exploration row resolves through a ticket-seeded random
+  // oracle, so the arrangement depends only on (snapshot, ticket, round),
+  // never on which thread serves it.
+  std::optional<RandomOracle> explorer;
+  ArrangementOracle* oracle = &batch_oracle_;
+  if (resolve == RowResolve::kRandom) {
+    oracle = &explorer.emplace(
+        Pcg64(DeriveSeed(batch_salt_, "explore",
+                         static_cast<std::uint64_t>(ticket)),
+              HashTag("batch-explore")));
+  }
+  const std::int64_t scored_ns = Stopwatch::NowNanos();
 
-  // eGreedy exploration rows resolve through a ticket-seeded random
-  // oracle, so a batch's arrangements depend only on (snapshot, tickets,
-  // rounds) — never on which thread claimed the batch.
-  std::vector<std::unique_ptr<RandomOracle>> explorers;
-  std::vector<ArrangementOracle*> row_oracle(b, nullptr);
-  for (std::size_t i = 0; i < b; ++i) {
-    if (resolve[i] == RowResolve::kRandom) {
-      explorers.push_back(std::make_unique<RandomOracle>(
-          Pcg64(DeriveSeed(batch_salt_, "explore",
-                           static_cast<std::uint64_t>(batch[i]->ticket)),
-                HashTag("batch-explore"))));
-      row_oracle[i] = explorers.back().get();
-    }
-  }
-  std::vector<std::int64_t> caps(b);
-  for (std::size_t i = 0; i < b; ++i) {
-    caps[i] = batch[i]->round.user_capacity;
-  }
-
-  std::vector<Arrangement> arrangements;
+  Arrangement arrangement;
   {
-    // The short critical section: ticket-order capacity resolution over
-    // the reservation view, plus pending registration. Concurrent
-    // batches score in parallel above but resolve strictly in claim
-    // order (seq), so capacity contention is deterministic given the
-    // arrival order.
+    // The short critical section: capacity resolution over the
+    // reservation view, in ticket order, so contention is deterministic
+    // given the arrival order; plus pending registration.
     std::unique_lock<std::timed_mutex> lock(mu_);
-    resolve_cv_.wait(lock, [&] { return resolve_turn_ == seq; });
+    resolve_cv_.wait(lock, [&] { return resolve_turn_ == ticket; });
+    batch_wait_hist_->Record(Stopwatch::NowNanos() - scored_ns);
     if (snap->healthy) {
-      arrangements = batch_oracle_.SelectBatch(
-          scores, instance_->conflicts(), &effective_state_, caps,
-          std::span<ArrangementOracle* const>(row_oracle));
+      arrangement = oracle->Select(scores.Row(0), instance_->conflicts(),
+                                   effective_state_, user_capacity);
     } else {
-      // Snapshot captured an unhealthy learner: estimate-free proposals,
-      // still reserving seats so concurrent batches cannot oversell.
-      arrangements.resize(b);
-      for (std::size_t i = 0; i < b; ++i) {
-        arrangements[i] =
-            StatelessProposal(batch[i]->round, effective_state_);
-        FASEA_CHECK(IsFeasibleArrangement(arrangements[i],
-                                          instance_->conflicts(),
-                                          effective_state_, caps[i]));
-        for (EventId v : arrangements[i]) effective_state_.ConsumeOne(v);
-        ++stateless_fallbacks_;
-        fallbacks_metric_->Increment();
-      }
+      // The snapshot captured an unhealthy learner: an estimate-free
+      // proposal, still reserving seats so later arrivals cannot oversell.
+      arrangement = StatelessProposal(round, effective_state_);
+      ++stateless_fallbacks_;
+      fallbacks_metric_->Increment();
     }
+    FASEA_CHECK(IsFeasibleArrangement(arrangement, instance_->conflicts(),
+                                      effective_state_, user_capacity));
+    for (EventId v : arrangement) effective_state_.ConsumeOne(v);
     learner_healthy_gauge_->Set(snap->healthy ? 1.0 : 0.0);
-    for (std::size_t i = 0; i < b; ++i) {
-      PendingBatched pending;
-      pending.round = std::move(batch[i]->round);
-      pending.arrangement = arrangements[i];
-      pending.epoch = snap->epoch;
-      batched_pending_.emplace(batch[i]->ticket, std::move(pending));
-      pending_batched_count_.fetch_add(1, std::memory_order_relaxed);
-      proposed_events_metric_->Add(
-          static_cast<std::int64_t>(arrangements[i].size()));
-      serve_rounds_metric_->Increment();
-    }
+    batched_pending_.emplace(
+        ticket, PendingBatched{std::move(round), arrangement, snap->epoch});
+    pending_batched_count_.fetch_add(1, std::memory_order_relaxed);
+    proposed_events_metric_->Add(
+        static_cast<std::int64_t>(arrangement.size()));
+    serve_rounds_metric_->Increment();
     ++resolve_turn_;
     resolve_cv_.notify_all();
   }
-  batch_size_hist_->Record(static_cast<std::int64_t>(b));
-  for (std::size_t i = 0; i < b; ++i) {
-    BatchedRound out;
-    out.ticket = batch[i]->ticket;
-    out.epoch = snap->epoch;
-    out.arrangement = std::move(arrangements[i]);
-    batch[i]->result = std::move(out);
-  }
+  batch_size_hist_->Record(1);
+  serve_latency_->Record(Stopwatch::NowNanos() - start_ns);
+  return BatchedRound{ticket, snap->epoch, std::move(arrangement)};
 }
 
 Status ArrangementService::SubmitBatchedFeedback(std::int64_t ticket,
@@ -806,68 +673,27 @@ Status ArrangementService::SubmitBatchedFeedback(std::int64_t ticket,
         StrFormat("ticket %lld has no batched round awaiting feedback",
                   static_cast<long long>(ticket)));
   }
-  PendingBatched& round = it->second;
-  if (feedback.size() != round.arrangement.size()) {
-    feedback_errors_metric_->Increment();
-    return InvalidArgumentError(
-        "feedback must align with the proposed arrangement");
-  }
-  for (std::uint8_t f : feedback) {
-    if (f > 1) {
-      feedback_errors_metric_->Increment();
-      return InvalidArgumentError("feedback entries must be 0/1");
-    }
-  }
-
-  InteractionRecord record;
-  std::string encoded;
-  {
-    TraceSpan span("feedback.encode", t_ + 1);
-    // Commit order assigns the round id: whichever outstanding ticket
-    // lands first gets the next t, so the WAL stays strictly increasing
-    // and recovery replays unchanged.
-    record.t = t_ + 1;
-    record.user_id = round.round.user_id;
-    record.user_capacity = round.round.user_capacity;
-    record.arrangement = round.arrangement;
-    record.feedback = feedback;
-    for (EventId v : round.arrangement) {
-      const auto row = round.round.contexts.Row(v);
-      record.contexts.emplace_back(row.begin(), row.end());
-    }
-    if (wal_ != nullptr && !wal_degraded_) {
-      encoded = EncodeInteractionRecord(record);
-    }
-  }
-
+  const PendingBatched& pending = it->second;
+  // Commit order assigns the round id: whichever outstanding ticket lands
+  // first gets the next t, so the WAL stays strictly increasing and
+  // recovery replays unchanged.
   bool durable = false;
-  if (Status st = WalWriteAheadLocked(encoded, &durable); !st.ok()) {
+  if (Status st = CommitRoundLocked(t_ + 1, pending.round,
+                                    pending.arrangement, feedback,
+                                    /*trace_id=*/0, &durable);
+      !st.ok()) {
     return st;  // Nothing applied; the ticket stays pending for retry.
   }
   ++t_;
+  // Every proposed seat was reserved in effective_state_ at propose time:
+  // an acceptance made it permanent in state_, a rejection hands it back.
   for (std::size_t i = 0; i < feedback.size(); ++i) {
-    const EventId v = round.arrangement[i];
-    if (feedback[i]) {
-      // The seat was reserved in effective_state_ at propose time; the
-      // acceptance makes the consumption permanent in the ground truth.
-      state_.ConsumeOne(v);
-    } else {
-      effective_state_.ReleaseOne(v);
-    }
+    if (!feedback[i]) effective_state_.ReleaseOne(pending.arrangement[i]);
   }
-  {
-    TraceSpan span("feedback.learn", t_);
-    policy_->Learn(t_, round.round, round.arrangement, feedback);
-  }
-  accepted_events_metric_->Add(
-      static_cast<std::int64_t>(NumAccepted(feedback)));
-  FASEA_CHECK_OK(log_.Append(std::move(record)));
   batched_pending_.erase(it);
   pending_batched_count_.fetch_sub(1, std::memory_order_relaxed);
-  feedback_rounds_metric_->Increment();
   rounds_served_gauge_->Set(static_cast<double>(t_));
   PublishSnapshotLocked();
-  UpdateHealthGaugeLocked();
   if (result != nullptr) {
     result->round = t_;
     result->durable = durable;

@@ -62,24 +62,26 @@
 //
 // Batched serving (ConfigureBatching): the snapshot-read alternative to
 // the sequential protocol for multi-tenant deployments where many
-// independent users arrive concurrently. ServeUserBatched coalesces
-// arrivals within a small wait window into one batch, scores the whole
-// batch against an immutable learner snapshot (no round mutex held),
-// and resolves capacity in ticket (arrival) order during one short
+// independent users arrive concurrently. Each ServeUserBatched call is
+// served on arrival: it takes an arrival-order ticket, scores its own
+// user against the current immutable learner snapshot on the calling
+// thread (no round mutex held, so concurrent arrivals score in
+// parallel), and resolves capacity in ticket order during one short
 // critical section over a reservation view of the platform state.
 // Feedback is per-ticket (SubmitBatchedFeedback), may arrive in any
 // order across tickets, and each commit publishes a fresh snapshot —
 // scoring never blocks on learning, learning never blocks on scoring.
-// The sequential entry points are rejected while batching is enabled
-// (and vice versa the batched ones before), so a deployment runs
-// exactly one protocol and the sequential path stays bit-identical to a
-// build without this feature.
+// Both serving paths pass one admission gate and commit feedback
+// through one write-ahead / consume / learn / log step. The sequential
+// entry points are rejected while batching is enabled (and vice versa
+// the batched ones before), so a deployment runs exactly one protocol
+// and the sequential path stays bit-identical to a build without this
+// feature.
 #ifndef FASEA_EBSN_ARRANGEMENT_SERVICE_H_
 #define FASEA_EBSN_ARRANGEMENT_SERVICE_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -142,13 +144,8 @@ struct OverloadOptions {
   double burst = 0.0;  // Defaults to max_rps when 0.
 };
 
-/// Cross-user batching knobs for ServeUserBatched.
+/// Batched-serving knobs for ServeUserBatched.
 struct BatchingOptions {
-  /// Largest number of arrivals resolved as one batch.
-  int max_batch = 8;
-  /// How long an arrival may hold the batch open waiting for companions.
-  /// A lone arrival (nothing else admitted) never waits.
-  std::int64_t max_wait_us = 50;
   /// Batched rounds allowed to be awaiting feedback at once; 0 means
   /// unlimited. Excess arrivals shed kResourceExhausted.
   int max_pending = 0;
@@ -256,7 +253,8 @@ class ArrangementService {
   /// Switches the service to batched serving (see the class comment):
   /// ServeUserBatched/SubmitBatchedFeedback become the entry points and
   /// the sequential ServeUser/SubmitFeedback are rejected. Call before
-  /// serving starts, on a ridge-backed policy, with no decision log
+  /// serving starts, on a ridge-backed policy other than Boltzmann (its
+  /// softmax draw has no per-row snapshot rule), with no decision log
   /// attached (decision propensities are defined against live state,
   /// which batched proposals never observe). Sticky.
   void ConfigureBatching(const BatchingOptions& options);
@@ -264,17 +262,15 @@ class ArrangementService {
     return batching_enabled_.load(std::memory_order_acquire);
   }
 
-  /// Batched-mode ServeUser: joins the admission queue, gets an
-  /// arrival-order ticket, is scored against the current learner
-  /// snapshot together with every other arrival coalesced into its
-  /// batch, and has its capacity resolved in ticket order against the
+  /// Batched-mode ServeUser, served on arrival: passes the same
+  /// admission gate as ServeUser, takes an arrival-order ticket, scores
+  /// this user against the current learner snapshot on the calling
+  /// thread, and resolves its capacity in ticket order against the
   /// reservation view of the platform state (so two concurrent batched
-  /// users can never be promised the same last seat). Blocks up to
-  /// BatchingOptions::max_wait_us waiting for companions; a lone
-  /// arrival resolves immediately. Sheds and deadline semantics match
-  /// ServeUser; an expired deadline fails before enqueueing, and a
-  /// queued-but-unclaimed waiter whose deadline passes withdraws with
-  /// kDeadlineExceeded.
+  /// users can never be promised the same last seat). Sheds match
+  /// ServeUser. The deadline is checked once, before the ticket is
+  /// taken; a ticketed call always resolves, since every later ticket
+  /// waits for its turn.
   StatusOr<BatchedRound> ServeUserBatched(std::int64_t user_id,
                                           std::int64_t user_capacity,
                                           const ContextMatrix& contexts,
@@ -285,7 +281,7 @@ class ArrangementService {
   /// pipeline as SubmitFeedback (the committed record gets the next
   /// round id, so WAL replay order is commit order), releases the
   /// round's rejected-seat reservations, and publishes a fresh learner
-  /// snapshot for subsequent batches. On kUnavailable nothing changed
+  /// snapshot for subsequent arrivals. On kUnavailable nothing changed
   /// and the same call may be retried.
   Status SubmitBatchedFeedback(std::int64_t ticket,
                                const Feedback& feedback,
@@ -449,10 +445,6 @@ class ArrangementService {
   ArrangementService(const ProblemInstance* instance, PolicyKind kind,
                      const PolicyParams& params);
 
-  /// One queued ServeUserBatched call (defined in the .cc; lives on the
-  /// waiting thread's stack, so pointers in batch_queue_ stay valid
-  /// until `done`).
-  struct BatchWaiter;
   /// A batched round between proposal and feedback.
   struct PendingBatched {
     RoundContext round;
@@ -469,23 +461,33 @@ class ArrangementService {
   Arrangement StatelessProposal(const RoundContext& round,
                                 const PlatformState& state) const;
 
-  /// Leader-side batch resolution: snapshot scoring with no lock, then
-  /// one short mu_ critical section — entered in `seq` (claim) order —
-  /// for ticket-order capacity resolution and pending registration.
-  /// Fills each waiter's result.
-  void ProcessBatch(const std::vector<BatchWaiter*>& batch,
-                    std::int64_t seq);
+  /// The admission gate of both serve entry points: rejects a draining
+  /// service, then sheds past the in-flight cap or the rate limit.
+  /// `*permit` holds the caller's in-flight slot until it is destroyed.
+  Status Admit(InflightLimiter::Permit* permit);
   /// Re-captures the learner state and swaps the published snapshot.
   /// No-op until batching is enabled.
   void PublishSnapshotLocked();
 
-  /// The write-ahead step shared by both feedback paths: appends
-  /// `encoded` per the durability policy (plain / degrade / breaker).
-  /// A non-OK return means the round must fail retryably with nothing
-  /// applied; `*durable` reports whether the bytes reached the WAL.
-  Status WalWriteAheadLocked(const std::string& encoded, bool* durable);
+  /// The commit step of both feedback paths, for round `t`: checks
+  /// `feedback` against `arrangement`, writes the record ahead to the
+  /// WAL, consumes the accepted seats from state_, trains the policy and
+  /// appends the record to the log. A non-OK return means nothing was
+  /// applied; `*durable` reports whether the record reached the WAL.
+  /// The caller owns the round counter and its pending-round
+  /// bookkeeping.
+  Status CommitRoundLocked(std::int64_t t, const RoundContext& round,
+                           const Arrangement& arrangement,
+                           const Feedback& feedback, std::uint64_t trace_id,
+                           bool* durable);
+  /// Appends `encoded` (round `t`'s record) per the durability policy
+  /// (plain / degrade / breaker). A non-OK return means the round must
+  /// fail retryably with nothing applied; `*durable` reports whether the
+  /// bytes reached the WAL.
+  Status WalWriteAheadLocked(const std::string& encoded, std::int64_t t,
+                             bool* durable);
   /// Reopens the writer if it is broken (via reopen_fn_), then appends.
-  Status WalAppendLocked(std::string_view encoded);
+  Status WalAppendLocked(std::string_view encoded, std::int64_t t);
   bool LearnerHealthyLocked() const;
   HealthState HealthStateLocked() const;
   void UpdateHealthGaugeLocked();
@@ -527,28 +529,22 @@ class ArrangementService {
   // Seeds the per-ticket RandomOracle streams of eGreedy exploration
   // rows; derived from the service seed at construction.
   std::uint64_t batch_salt_ = 0;
-  // Admission queue: guards the waiter deque, claim/done flags, and the
-  // batch sequence counter. Leaf lock — never held together with mu_ or
-  // snapshot_mu_.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::deque<BatchWaiter*> batch_queue_;
-  std::int64_t next_ticket_ = 0;
-  // Claim-order sequencing of concurrently scoring batches: each claim
-  // takes the next seq (batch_mu_-guarded), and resolution waits its
-  // turn (mu_-guarded, resolve_cv_), so capacity is always consumed in
-  // global arrival order even though scoring overlaps.
-  std::int64_t next_batch_seq_ = 0;
-  std::int64_t resolve_turn_ = 0;
+  // Arrival-order tickets, taken lock-free once a call has passed every
+  // check, so each ticket reaches its resolve turn.
+  std::atomic<std::int64_t> next_ticket_{0};
+  // The ticket whose capacity resolves next (mu_-guarded, resolve_cv_):
+  // arrivals score concurrently but consume capacity strictly in ticket
+  // order, so contention is deterministic given the arrival order.
+  std::int64_t resolve_turn_ = 1;
   std::condition_variable_any resolve_cv_;
   // Batched rounds between proposal and feedback, by ticket
   // (mu_-guarded); the count mirrors the map size for lock-free
   // admission checks.
   std::unordered_map<std::int64_t, PendingBatched> batched_pending_;
   std::atomic<std::int64_t> pending_batched_count_{0};
-  // state_ minus outstanding batched reservations: batch resolution
-  // consumes from this view at propose time so overlapping batches
-  // cannot oversell a seat; feedback releases rejected seats back
+  // state_ minus outstanding batched reservations: resolution consumes
+  // from this view at propose time so concurrent arrivals cannot
+  // oversell a seat; feedback releases rejected seats back
   // (mu_-guarded). Equals state_ whenever no round is outstanding.
   PlatformState effective_state_;
   GreedyOracle batch_oracle_;
@@ -611,6 +607,8 @@ class ArrangementService {
       Metrics()->GetGauge("fasea.service.rounds_served");
   Gauge* health_gauge_ =
       Metrics()->GetGauge("fasea.service.health_state");
+  // Batching-era names kept for their readers (perfbench): size records
+  // 1 per served arrival, wait_ns the resolve wait (DESIGN.md §8).
   Histogram* batch_size_hist_ =
       Metrics()->GetHistogram("fasea.batch.size");
   Histogram* batch_wait_hist_ =

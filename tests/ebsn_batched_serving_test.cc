@@ -1,11 +1,14 @@
 // Snapshot-read batched serving: mode exclusion, seed-for-seed parity
 // with the sequential protocol, ticket-order capacity resolution,
-// out-of-order feedback, deadline handling, snapshot epochs, and what
-// the batch wait histogram measures.
+// out-of-order feedback, deadline handling, snapshot epochs, what the
+// resolve wait histogram measures, the WAL spans' round tags, and the
+// policies batching refuses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -13,7 +16,9 @@
 #include "datagen/synthetic.h"
 #include "ebsn/arrangement_service.h"
 #include "ebsn/event_catalog.h"
+#include "io/env.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
 #include "rng/seed.h"
@@ -79,8 +84,8 @@ TEST(BatchedServingTest, ModeExclusionIsSymmetric) {
 TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
   // Driven one user at a time, the batched protocol must produce the
   // exact arrangements and learner trajectory of the sequential one:
-  // every batch is a lone arrival scored against a snapshot that equals
-  // the live state (no feedback is outstanding between rounds).
+  // every arrival is scored against a snapshot that equals the live
+  // state (no feedback is outstanding between rounds).
   auto world = SyntheticWorld::Create(WorldConfig());
   ASSERT_TRUE(world.ok());
   ArrangementService sequential(&(*world)->instance(), PolicyKind::kUcb,
@@ -110,9 +115,9 @@ TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
 }
 
 TEST(BatchedServingTest, ConcurrentArrivalsMatchTicketOrderReplay) {
-  // Whatever batches the coalescer forms, per-ticket arrangements must
-  // equal a one-at-a-time replay in ticket order against the same
-  // epoch-0 snapshot (feedback withheld until every arrival resolved).
+  // However the arrivals interleave, per-ticket arrangements must equal
+  // a one-at-a-time replay in ticket order against the same epoch-0
+  // snapshot (feedback withheld until every arrival resolved).
   auto world = SyntheticWorld::Create(WorldConfig());
   ASSERT_TRUE(world.ok());
   constexpr int kUsers = 4;
@@ -124,8 +129,6 @@ TEST(BatchedServingTest, ConcurrentArrivalsMatchTicketOrderReplay) {
   ArrangementService service(&(*world)->instance(), PolicyKind::kUcb,
                              PolicyParams{}, /*seed=*/7);
   BatchingOptions options;
-  options.max_batch = kUsers;
-  options.max_wait_us = 2000;
   service.ConfigureBatching(options);
 
   struct Served {
@@ -187,8 +190,6 @@ TEST(BatchedServingTest, ScarceSeatGoesToTheEarlierTicket) {
   ArrangementService service(&instance, PolicyKind::kUcb, PolicyParams{},
                              /*seed=*/5);
   BatchingOptions options;
-  options.max_batch = 2;
-  options.max_wait_us = 2000;
   service.ConfigureBatching(options);
 
   // Event 0 ("scarce", capacity 1) dominates every score at epoch 0:
@@ -266,8 +267,6 @@ TEST(BatchedServingTest, OutOfOrderFeedbackCommitsCleanly) {
   ArrangementService service(&(*world)->instance(), PolicyKind::kUcb,
                              PolicyParams{}, /*seed=*/7);
   BatchingOptions options;
-  options.max_batch = 2;
-  options.max_wait_us = 2000;
   service.ConfigureBatching(options);
 
   std::vector<RoundContext> rounds(2);
@@ -440,17 +439,18 @@ TEST(BatchedServingTest, SnapshotEpochTracksObservations) {
   }
 }
 
-TEST(BatchedServingTest, BatchWaitEndsWhenTheBatchIsClaimed) {
-  // fasea.batch.wait_ns is queue time before the claim (DESIGN.md §8),
-  // not scoring or resolution. Scoring dominates each serve here
-  // (|V| = 2000, d = 64), and a lone arrival is claimed at once, so its
-  // recorded wait must be a small fraction of its serve latency.
+TEST(BatchedServingTest, ResolveWaitExcludesScoring) {
+  // fasea.batch.wait_ns is the resolve wait (DESIGN.md §8): from the end
+  // of scoring to the start of capacity resolution. Scoring dominates
+  // each serve here (|V| = 2000, d = 64), and a lone arrival's resolve
+  // turn comes at once, so its recorded wait must be a small fraction of
+  // its serve latency.
   if (!kMetricsEnabled) GTEST_SKIP() << "built with FASEA_DISABLE_METRICS";
   SyntheticConfig config;
   config.num_events = 2000;
   config.dim = 64;
   config.horizon = 10;
-  config.conflict_ratio = 0.0;  // ConflictGraph::Random is O(pairs·|V|).
+  config.conflict_ratio = 0.0;  // Skips sampling ~5·10⁵ conflict pairs.
   config.seed = 31;
   auto world = SyntheticWorld::Create(config);
   ASSERT_TRUE(world.ok());
@@ -482,6 +482,77 @@ TEST(BatchedServingTest, BatchWaitEndsWhenTheBatchIsClaimed) {
                         Feedback(result->arrangement.size(), 1))
                     .ok());
   }
+}
+
+TEST(BatchedServingTest, WalSpansCarryTheCommittedRound) {
+  // wal.append / wal.fsync spans are tagged with the round their record
+  // commits as, in both modes: a trace dump must group a round's WAL
+  // time with that round's feedback.
+  if (!kMetricsEnabled) GTEST_SKIP() << "built with FASEA_DISABLE_METRICS";
+  auto world = SyntheticWorld::Create(WorldConfig());
+  ASSERT_TRUE(world.ok());
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "sequential");
+    const std::string dir = ::testing::TempDir() + "fasea_wal_spans_" +
+                            (batched ? "batched" : "sequential");
+    Env* env = Env::Default();
+    if (auto names = env->ListDir(dir); names.ok()) {
+      for (const std::string& file : *names) {
+        (void)env->DeleteFile(JoinPath(dir, file));
+      }
+    }
+    ASSERT_TRUE(env->CreateDir(dir).ok());
+    auto wal = WalWriter::Open(env, dir);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+
+    ArrangementService service(&(*world)->instance(), PolicyKind::kUcb,
+                               PolicyParams{}, /*seed=*/7);
+    service.AttachWal(std::move(wal).value());
+    if (batched) service.ConfigureBatching(BatchingOptions{});
+    for (int t = 1; t <= 3; ++t) {
+      const RoundContext round = (*world)->provider().NextRound(t);
+      std::int64_t ticket = 0;
+      Arrangement arrangement;
+      if (batched) {
+        auto served = service.ServeUserBatched(
+            round.user_id, round.user_capacity, round.contexts);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        ticket = served->ticket;
+        arrangement = served->arrangement;
+      } else {
+        auto served = service.ServeUser(round.user_id, round.user_capacity,
+                                        round.contexts);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        arrangement = *served;
+      }
+      TraceRing::Global()->Clear();
+      FeedbackResult result;
+      const Feedback feedback(arrangement.size(), 1);
+      const Status st =
+          batched ? service.SubmitBatchedFeedback(ticket, feedback, &result)
+                  : service.SubmitFeedback(feedback, &result);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_TRUE(result.durable);
+      int appends = 0;
+      for (const TraceEvent& event : TraceRing::Global()->Events()) {
+        const std::string_view name = event.name;
+        if (name != "wal.append" && name != "wal.fsync") continue;
+        appends += name == "wal.append" ? 1 : 0;
+        EXPECT_EQ(event.round, result.round) << name << " at round " << t;
+      }
+      EXPECT_EQ(appends, 1) << "round " << t;
+    }
+  }
+}
+
+TEST(BatchedServingDeathTest, BoltzmannIsRejected) {
+  // The sequential softmax draw has no per-row snapshot rule, so batched
+  // scoring would silently serve Exploit's arrangements.
+  const ProblemInstance instance = MakeInstance();
+  ArrangementService service(&instance, PolicyKind::kBoltzmann,
+                             PolicyParams{}, /*seed=*/1);
+  EXPECT_DEATH(service.ConfigureBatching(BatchingOptions{}),
+               "per-row snapshot rule");
 }
 
 }  // namespace

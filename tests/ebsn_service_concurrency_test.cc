@@ -123,15 +123,13 @@ TEST(ServiceConcurrencyTest, ConcurrentHealthReadsDuringServing) {
 
 TEST(ServiceConcurrencyTest, BatchedClosedLoopKeepsProtocolConsistent) {
   // The batched protocol under the same closed-loop stress: workers
-  // coalesce into whatever batches the window forms, every round gets
-  // its feedback, and nothing is left pending at the end.
+  // serve, resolve and commit concurrently, every round gets its
+  // feedback, and nothing is left pending at the end.
   auto world = SyntheticWorld::Create(StressConfig());
   ASSERT_TRUE(world.ok());
   ArrangementService service(&(*world)->instance(), PolicyKind::kUcb,
                              PolicyParams{}, /*seed=*/7);
   BatchingOptions options;
-  options.max_batch = 4;
-  options.max_wait_us = 200;
   service.ConfigureBatching(options);
 
   std::vector<RoundContext> rounds(16);

@@ -112,9 +112,9 @@ configure "$root/build-tsan" \
 cmake --build "$root/build-tsan" -j "$jobs"
 # The shard suites ride along here because ShardedArrangementService is
 # a concurrent serving surface (per-shard locks + atomic counters), and
-# the batched/admission suites because snapshot publication and batch
-# coalescing are lock-free fast paths; the soak label is excluded as in
-# the other tiers.
+# the batched/admission suites because snapshot publication and
+# ticket-order resolution run concurrently with scoring; the soak label
+# is excluded as in the other tiers.
 ctest --test-dir "$root/build-tsan" --output-on-failure -j "$jobs" \
   -R '(thread_pool|parallel|concurrency|shard|batched|admission|net|transport|rebalance)' \
   -LE soak
@@ -186,7 +186,7 @@ if [[ "$load_smoke" -eq 1 ]]; then
   # feedbacks applied, log size mismatch, pending rounds left behind),
   # so the exit code is the verdict; the grep additionally pins a
   # nonzero throughput line into the check output.
-  for mode in "" "--batch=8 --batch_wait_us=50"; do
+  for mode in "" "--batched"; do
     # shellcheck disable=SC2086  # $mode is intentionally word-split.
     "$root/build/bench/load_service" --threads=4 --rounds=2000 \
       --warmup=200 --num_events=50 --dim=8 $mode \
