@@ -1,14 +1,26 @@
-// Little-endian binary encoding helpers shared by every on-disk format
-// (policy checkpoints, WAL frames, interaction records).
+// Little-endian binary encoding helpers shared by every on-disk and wire
+// format (policy checkpoints, WAL frames, interaction records, transport
+// envelopes).
 //
-// All integers are serialized little-endian regardless of host order, so
-// blobs are portable across platforms. ByteReader is a bounds-checked
-// cursor: every read reports truncation through Status instead of
-// touching out-of-range memory.
+// Byte order belongs to the format: every integer and double is
+// serialized little-endian regardless of host order, so blobs are
+// portable across platforms. On a little-endian host the host bytes ARE
+// the format's bytes, so the fixed-width helpers copy them with one
+// memcpy; a big-endian host takes the byte-at-a-time loops, which write
+// and read the same bytes. The memcpy is only a shortcut and never
+// defines the format.
+//
+// AppendDoubles / ReadDoubles are the bulk forms for contiguous rows of
+// doubles (context matrices, learner rows): the same bytes as a loop of
+// AppendDouble / ReadDouble, written or read in one step.
+//
+// ByteReader is a bounds-checked cursor: every read reports truncation
+// through Status instead of touching out-of-range memory.
 #ifndef FASEA_COMMON_BYTES_H_
 #define FASEA_COMMON_BYTES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -21,6 +33,11 @@ void AppendU32(std::string* out, std::uint32_t v);
 void AppendU64(std::string* out, std::uint64_t v);
 void AppendI64(std::string* out, std::int64_t v);
 void AppendDouble(std::string* out, double v);
+
+/// Appends every value of `values` in order: byte-identical to calling
+/// AppendDouble on each (one resize and one memcpy on little-endian
+/// hosts).
+void AppendDoubles(std::string* out, std::span<const double> values);
 
 /// Encodes `v` little-endian into `out[0..3]` (caller provides 4 bytes).
 void EncodeU32(char* out, std::uint32_t v);
@@ -42,6 +59,10 @@ class ByteReader {
   StatusOr<std::uint64_t> ReadU64();
   StatusOr<std::int64_t> ReadI64();
   StatusOr<double> ReadDouble();
+
+  /// Fills `out` with the next out.size() doubles. Checks the bounds
+  /// once; on a short read it fails without moving the cursor.
+  Status ReadDoubles(std::span<double> out);
 
   std::size_t position() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }

@@ -121,6 +121,14 @@ double EpsGreedyPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
   return p;
 }
 
+double EpsGreedyPolicy::ServedPropensity(std::int64_t t,
+                                         const RoundContext& round,
+                                         const PlatformState& state,
+                                         const Arrangement& served) {
+  if (params_.epsilon == 0.0) return 1.0;
+  return PropensityOf(t, round, state, served);
+}
+
 std::unique_ptr<EpsGreedyPolicy> MakeExploitPolicy(
     const ProblemInstance* instance, double lambda,
     const LearnerConfig& learner) {

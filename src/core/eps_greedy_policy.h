@@ -55,6 +55,12 @@ class EpsGreedyPolicy : public LinearPolicyBase {
                       const PlatformState& state,
                       const Arrangement& arrangement) override;
 
+  /// Exploit (ε = 0) is a point mass on the greedy arrangement Propose
+  /// served: 1.0 without re-scoring. eGreedy calls PropensityOf.
+  double ServedPropensity(std::int64_t t, const RoundContext& round,
+                          const PlatformState& state,
+                          const Arrangement& served) override;
+
  private:
   EpsGreedyParams params_;
   Pcg64 coin_rng_;

@@ -37,6 +37,13 @@ class OptPolicy final : public Policy {
   Arrangement Propose(std::int64_t t, const RoundContext& round,
                       const PlatformState& state) override;
 
+  /// Greedy on the true rewards: what Propose served is a point mass.
+  double ServedPropensity(std::int64_t, const RoundContext&,
+                          const PlatformState&,
+                          const Arrangement&) override {
+    return 1.0;
+  }
+
   void Learn(std::int64_t, const RoundContext&, const Arrangement&,
              const Feedback&) override {}
 

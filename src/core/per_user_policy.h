@@ -39,6 +39,22 @@ class PerUserPolicyBank final : public Policy {
     PolicyFor(round.user_id).Learn(t, round, arrangement, feedback);
   }
 
+  /// The propensity is the routed user's policy's own: the base point
+  /// mass would re-run Propose, which draws from a stochastic inner
+  /// policy's serving streams.
+  double PropensityOf(std::int64_t t, const RoundContext& round,
+                      const PlatformState& state,
+                      const Arrangement& arrangement) override {
+    return PolicyFor(round.user_id).PropensityOf(t, round, state,
+                                                 arrangement);
+  }
+
+  double ServedPropensity(std::int64_t t, const RoundContext& round,
+                          const PlatformState& state,
+                          const Arrangement& served) override {
+    return PolicyFor(round.user_id).ServedPropensity(t, round, state, served);
+  }
+
   /// Reports the estimates of the most recently routed user's policy
   /// (zeros before any round was routed).
   void EstimateRewards(const ContextMatrix& contexts,

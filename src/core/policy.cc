@@ -13,6 +13,12 @@ double Policy::PropensityOf(std::int64_t t, const RoundContext& round,
   return Propose(t, round, state) == arrangement ? 1.0 : 0.0;
 }
 
+double Policy::ServedPropensity(std::int64_t t, const RoundContext& round,
+                                const PlatformState& state,
+                                const Arrangement& served) {
+  return PropensityOf(t, round, state, served);
+}
+
 double McRandomArrangementMass(std::uint64_t seed,
                                std::span<const double> scores,
                                const ConflictGraph& conflicts,

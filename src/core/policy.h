@@ -80,6 +80,20 @@ class Policy {
   virtual double PropensityOf(std::int64_t t, const RoundContext& round,
                               const PlatformState& state,
                               const Arrangement& arrangement);
+
+  /// PropensityOf(t, round, state, served) for the arrangement `served`
+  /// that Propose just returned for these same (t, round, state), with
+  /// nothing learned in between. The serving layer records it in the
+  /// decision log. Same contract as PropensityOf: it must return the
+  /// same double and consume no serving RNG stream.
+  ///
+  /// The default calls PropensityOf, so stochastic policies stay exact.
+  /// A point-mass policy (UCB, Exploit, OPT) knows that what it just
+  /// proposed has probability 1.0 and returns that without re-running
+  /// Propose.
+  virtual double ServedPropensity(std::int64_t t, const RoundContext& round,
+                                  const PlatformState& state,
+                                  const Arrangement& served);
 };
 
 /// Shared by the eGreedy and Random overrides: Laplace-smoothed Monte-Carlo

@@ -32,6 +32,13 @@ class UcbPolicy final : public LinearPolicyBase {
   Arrangement Propose(std::int64_t t, const RoundContext& round,
                       const PlatformState& state) override;
 
+  /// Propose consumes no randomness: what it served is a point mass.
+  double ServedPropensity(std::int64_t, const RoundContext&,
+                          const PlatformState&,
+                          const Arrangement&) override {
+    return 1.0;
+  }
+
   /// Batched UCB over a snapshot: per user, a GEMV for the predictions
   /// and the width kernel against the snapshot's precomputed (Y⁻¹)ᵀ,
   /// written straight into that user's score row, then the same

@@ -348,8 +348,8 @@ StatusOr<Arrangement> ArrangementService::ServeUser(
     decision.theta_version =
         base != nullptr ? base->ridge().num_observations() : 0;
     if (learner_healthy) {
-      decision.propensity =
-          policy_->PropensityOf(t_, pending_round_, state_, arrangement);
+      decision.propensity = policy_->ServedPropensity(t_, pending_round_,
+                                                      state_, arrangement);
       decision.policy_id = std::string(policy_->name());
     } else {
       // The stateless fallback is deterministic given the round and

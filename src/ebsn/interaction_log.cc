@@ -185,7 +185,7 @@ std::string EncodeInteractionRecord(const InteractionRecord& record) {
   for (std::size_t i = 0; i < n; ++i) {
     AppendU32(&out, record.arrangement[i]);
     AppendU8(&out, record.feedback[i]);
-    for (double x : record.contexts[i]) AppendDouble(&out, x);
+    AppendDoubles(&out, record.contexts[i]);
   }
   return out;
 }
@@ -230,10 +230,8 @@ StatusOr<InteractionRecord> DecodeInteractionRecord(
     if (!fb.ok()) return fail(fb.status().message());
     record.feedback.push_back(*fb);
     std::vector<double> row(*dim);
-    for (std::uint32_t j = 0; j < *dim; ++j) {
-      auto x = reader.ReadDouble();
-      if (!x.ok()) return fail(x.status().message());
-      row[j] = *x;
+    if (Status st = reader.ReadDoubles(row); !st.ok()) {
+      return fail(st.message());
     }
     record.contexts.push_back(std::move(row));
   }

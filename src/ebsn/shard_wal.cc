@@ -16,6 +16,20 @@ void AppendHeader(std::string* out, ShardFrameKind kind, std::uint64_t txn,
   AppendU32(out, epoch);
 }
 
+// Bytes of one migrated event before its observations: event id (u32),
+// consumed (i64), observation count (u32) and dim (u32).
+constexpr std::size_t kMigratedEventHeaderBytes = 4 + 8 + 4 + 4;
+
+// A declared element count that the bytes left cannot hold. Checked
+// before anything is reserved for it: the count comes from disk or the
+// wire (a MIGRATE body is written to the WAL as it arrives).
+Status CountTooLarge(const char* what, std::uint32_t count,
+                     const ByteReader& reader) {
+  return DataLossError(StrFormat(
+      "shard frame: %u %s(s) declared but only %zu byte(s) left", count,
+      what, reader.remaining()));
+}
+
 }  // namespace
 
 std::string EncodeDecisionFrame(std::uint64_t txn, std::uint64_t trace_id,
@@ -111,6 +125,9 @@ StatusOr<ShardFrame> DecodeShardFrame(std::string_view payload) {
       if (!lease.ok()) return lease.status();
       auto n = reader.ReadU32();
       if (!n.ok()) return n.status();
+      if (*n > reader.remaining() / 4) {
+        return CountTooLarge("event", *n, reader);
+      }
       frame.reservation.txn = *txn;
       frame.reservation.trace_id = *trace_id;
       frame.reservation.epoch = *epoch;
@@ -137,6 +154,9 @@ StatusOr<ShardFrame> DecodeShardFrame(std::string_view payload) {
       auto n_events = reader.ReadU32();
       if (!n_events.ok()) return n_events.status();
       frame.migrate.src_shard = static_cast<int>(*src);
+      if (*n_events > reader.remaining() / kMigratedEventHeaderBytes) {
+        return CountTooLarge("migrated event", *n_events, reader);
+      }
       frame.migrate.events.reserve(*n_events);
       for (std::uint32_t i = 0; i < *n_events; ++i) {
         MigratedEvent moved;
@@ -148,16 +168,18 @@ StatusOr<ShardFrame> DecodeShardFrame(std::string_view payload) {
         if (!n_obs.ok()) return n_obs.status();
         auto dim = reader.ReadU32();
         if (!dim.ok()) return dim.status();
+        // Each observation is dim context doubles plus the reward.
+        if (*n_obs > reader.remaining() / (8 * (std::uint64_t{*dim} + 1))) {
+          return CountTooLarge("observation", *n_obs, reader);
+        }
         moved.event = *event;
         moved.consumed = *consumed;
         moved.observations.reserve(*n_obs);
         for (std::uint32_t o = 0; o < *n_obs; ++o) {
           MigratedObservation obs;
           obs.context.resize(*dim);
-          for (std::uint32_t j = 0; j < *dim; ++j) {
-            auto value = reader.ReadDouble();
-            if (!value.ok()) return value.status();
-            obs.context[j] = *value;
+          if (Status st = reader.ReadDoubles(obs.context); !st.ok()) {
+            return st;
           }
           auto reward = reader.ReadDouble();
           if (!reward.ok()) return reward.status();

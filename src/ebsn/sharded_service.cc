@@ -27,7 +27,15 @@ bool IsRetryableServe(StatusCode code) {
 
 // Wire fields of the protocol messages: an i64, a shard index (u32),
 // an event-id list (u32 count, then u32 ids) and a matrix (u32 rows,
-// u32 cols, then row-major doubles).
+// u32 cols, then row-major doubles). FieldSize is each field's encoded
+// size, so a message reserves its buffer once.
+std::size_t FieldSize(std::int64_t) { return 8; }
+std::size_t FieldSize(int) { return 4; }
+std::size_t FieldSize(const Arrangement& events) {
+  return 4 + 4 * events.size();
+}
+std::size_t FieldSize(const Matrix& m) { return 8 + 8 * m.rows() * m.cols(); }
+
 void WriteField(std::string* out, std::int64_t v) { AppendI64(out, v); }
 void WriteField(std::string* out, int v) {
   AppendU32(out, static_cast<std::uint32_t>(v));
@@ -39,11 +47,11 @@ void WriteField(std::string* out, const Arrangement& events) {
 void WriteField(std::string* out, const Matrix& m) {
   AppendU32(out, static_cast<std::uint32_t>(m.rows()));
   AppendU32(out, static_cast<std::uint32_t>(m.cols()));
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (double v : m.Row(i)) AppendDouble(out, v);
-  }
+  AppendDoubles(out, {m.data(), m.rows() * m.cols()});
 }
 
+// Declared counts come from the wire: each is checked against the bytes
+// left before anything is allocated for it.
 Status ReadField(ByteReader& reader, std::int64_t* out) {
   auto v = reader.ReadI64();
   if (!v.ok()) return v.status();
@@ -59,6 +67,11 @@ Status ReadField(ByteReader& reader, int* out) {
 Status ReadField(ByteReader& reader, Arrangement* out) {
   auto n = reader.ReadU32();
   if (!n.ok()) return n.status();
+  if (*n > reader.remaining() / 4) {
+    return InvalidArgumentError(
+        StrFormat("event list of %u ids exceeds the %zu bytes left", *n,
+                  reader.remaining()));
+  }
   out->reserve(*n);
   for (std::uint32_t i = 0; i < *n; ++i) {
     auto v = reader.ReadU32();
@@ -72,21 +85,22 @@ Status ReadField(ByteReader& reader, Matrix* out) {
   if (!rows.ok()) return rows.status();
   auto cols = reader.ReadU32();
   if (!cols.ok()) return cols.status();
-  *out = Matrix(*rows, *cols);
-  for (std::uint32_t i = 0; i < *rows; ++i) {
-    auto row = out->Row(i);
-    for (std::uint32_t j = 0; j < *cols; ++j) {
-      auto v = reader.ReadDouble();
-      if (!v.ok()) return v.status();
-      row[j] = *v;
-    }
+  // rows·cols ≤ (2³²−1)² fits in 64 bits; the byte count is compared by
+  // division so it cannot wrap.
+  const std::uint64_t values = std::uint64_t{*rows} * *cols;
+  if (values > reader.remaining() / 8) {
+    return InvalidArgumentError(
+        StrFormat("%ux%u matrix exceeds the %zu bytes left", *rows, *cols,
+                  reader.remaining()));
   }
-  return Status::Ok();
+  *out = Matrix(*rows, *cols);
+  return reader.ReadDoubles({out->data(), static_cast<std::size_t>(values)});
 }
 
 template <typename... Fields>
 std::string WriteFields(const Fields&... fields) {
   std::string out;
+  out.reserve((FieldSize(fields) + ...));
   (WriteField(&out, fields), ...);
   return out;
 }

@@ -84,7 +84,9 @@ StatusOr<Envelope> ShardClient::Call(MessageKind kind, int dst,
         std::lock_guard<std::mutex> lock(mu_);
         auto it = awaiting_.find(request.request_id);
         if (it != awaiting_.end() && it->second.has_value()) {
-          response = it->second;
+          // The slot stays filled (a later duplicate is still dropped)
+          // until finish() erases it.
+          response = std::move(it->second);
         }
       }
       if (response.has_value()) break;

@@ -1,5 +1,7 @@
 #include "net/envelope.h"
 
+#include <utility>
+
 #include "common/bytes.h"
 #include "common/strings.h"
 
@@ -11,6 +13,10 @@ namespace {
 constexpr std::uint8_t kEnvelopeMagic = 0xE7;
 
 constexpr std::uint8_t kFlagResponse = 0x01;
+
+// Magic, request id, kind, flags, src, dst, txn, trace id, status code
+// and body size: the encoded size before the body.
+constexpr std::size_t kHeaderBytes = 1 + 8 + 1 + 1 + 4 + 4 + 8 + 8 + 1 + 4;
 
 bool ValidKind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(MessageKind::kServe) &&
@@ -67,7 +73,7 @@ Envelope MakeResponse(const Envelope& request, const Status& status,
 
 std::string EncodeEnvelope(const Envelope& envelope) {
   std::string out;
-  out.reserve(40 + envelope.body.size());
+  out.reserve(kHeaderBytes + envelope.body.size());
   AppendU8(&out, kEnvelopeMagic);
   AppendU64(&out, envelope.request_id);
   AppendU8(&out, static_cast<std::uint8_t>(envelope.kind));
@@ -82,7 +88,7 @@ std::string EncodeEnvelope(const Envelope& envelope) {
   return out;
 }
 
-StatusOr<Envelope> DecodeEnvelope(std::string_view bytes) {
+StatusOr<Envelope> DecodeEnvelope(std::string bytes) {
   ByteReader reader(bytes, "truncated envelope");
   auto magic = reader.ReadU8();
   if (!magic.ok()) return magic.status();
@@ -131,7 +137,10 @@ StatusOr<Envelope> DecodeEnvelope(std::string_view bytes) {
         "envelope body size %u does not match %zu remaining bytes",
         *body_size, reader.remaining()));
   }
-  envelope.body.assign(bytes.substr(reader.position(), *body_size));
+  // The body is the rest of the buffer: drop the header in place
+  // instead of copying the body out.
+  bytes.erase(0, reader.position());
+  envelope.body = std::move(bytes);
   return envelope;
 }
 

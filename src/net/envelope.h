@@ -80,8 +80,10 @@ Envelope MakeResponse(const Envelope& request, const Status& status,
 std::string EncodeEnvelope(const Envelope& envelope);
 
 /// Rejects short buffers, trailing bytes, unknown kinds and status
-/// codes with kInvalidArgument.
-StatusOr<Envelope> DecodeEnvelope(std::string_view bytes);
+/// codes with kInvalidArgument. Takes the buffer by value: the decoded
+/// body reuses its storage, so a caller that moves the bytes in pays
+/// no body copy.
+StatusOr<Envelope> DecodeEnvelope(std::string bytes);
 
 }  // namespace fasea
 

@@ -167,19 +167,20 @@ bool SimulatedNetwork::LinkBlockedLocked(int src, int dst) const {
   return blocked_links_.count({src, dst}) != 0;
 }
 
-void SimulatedNetwork::EnqueueLocked(int dst, const std::string& bytes,
-                                     std::int64_t deliver_at) {
+const std::string& SimulatedNetwork::EnqueueLocked(int dst, std::string bytes,
+                                                   std::int64_t deliver_at) {
   const std::uint64_t seq = next_seq_++;
   InFlight in_flight;
   in_flight.deliver_at = deliver_at;
   in_flight.seq = seq;
   in_flight.dst = dst;
-  in_flight.bytes = bytes;
-  queue_.emplace(std::make_pair(deliver_at, seq), std::move(in_flight));
+  in_flight.bytes = std::move(bytes);
+  return queue_.emplace(std::make_pair(deliver_at, seq), std::move(in_flight))
+      ->second.bytes;
 }
 
 void SimulatedNetwork::Send(const Envelope& envelope) {
-  const std::string bytes = EncodeEnvelope(envelope);
+  std::string bytes = EncodeEnvelope(envelope);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.sent;
   sent_metric_->Increment();
@@ -204,10 +205,14 @@ void SimulatedNetwork::Send(const Envelope& envelope) {
     deliver_at += UniformInt(rng_, 1, 3);
     ++stats_.reordered;
   }
-  EnqueueLocked(envelope.dst, bytes, deliver_at);
+  // The bytes move into the queue. A duplicate copies the queued bytes
+  // (multimap nodes do not move) and takes the sequence number after the
+  // original's.
+  const std::string& queued =
+      EnqueueLocked(envelope.dst, std::move(bytes), deliver_at);
   if (schedule_.dup_rate > 0.0 && rng_.NextDouble() < schedule_.dup_rate) {
     std::int64_t dup_at = deliver_at + UniformInt(rng_, 0, 2);
-    EnqueueLocked(envelope.dst, bytes, dup_at);
+    EnqueueLocked(envelope.dst, queued, dup_at);
     ++stats_.duplicated;
   }
 }
@@ -226,7 +231,7 @@ int SimulatedNetwork::Pump() {
     queue_.erase(queue_.begin(), end);
   }
   int delivered = 0;
-  for (const InFlight& in_flight : due) {
+  for (InFlight& in_flight : due) {
     Handler handler;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -238,7 +243,7 @@ int SimulatedNetwork::Pump() {
       }
       handler = it->second;
     }
-    StatusOr<Envelope> decoded = DecodeEnvelope(in_flight.bytes);
+    StatusOr<Envelope> decoded = DecodeEnvelope(std::move(in_flight.bytes));
     if (!decoded.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.decode_failures;

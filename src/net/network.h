@@ -131,8 +131,10 @@ class SimulatedNetwork {
   };
 
   bool LinkBlockedLocked(int src, int dst) const;
-  void EnqueueLocked(int dst, const std::string& bytes,
-                     std::int64_t deliver_at);
+  /// Queues `bytes` for `dst` under the next sequence number and returns
+  /// the queued copy (valid until Pump takes it).
+  const std::string& EnqueueLocked(int dst, std::string bytes,
+                                   std::int64_t deliver_at);
 
   mutable std::mutex mu_;
   std::int64_t now_ = 0;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "core/eps_greedy_policy.h"
 #include "core/policy_factory.h"
 #include "oracle/oracle.h"
+#include "rng/pcg64.h"
 
 namespace fasea {
 namespace {
@@ -129,6 +133,83 @@ TEST(PerUserPolicyBankTest, EstimateBeforeAnyRoundIsZero) {
   std::vector<double> est(3, 99.0);
   bank.EstimateRewards(ContextMatrix(3, 2), est);
   for (double e : est) EXPECT_EQ(e, 0.0);
+}
+
+// A fresh round per step, so proposals depend on the serving streams
+// and not only on learner state.
+RoundContext RandomRound(Pcg64& rng, std::size_t n, std::size_t d,
+                         std::int64_t cu, std::int64_t user_id) {
+  RoundContext round;
+  round.contexts = ContextMatrix(n, d);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t j = 0; j < d; ++j) round.contexts(v, j) = rng.NextDouble();
+  }
+  round.user_capacity = cu;
+  round.user_id = user_id;
+  return round;
+}
+
+Feedback AcceptHighFirstFeature(const RoundContext& round,
+                                const Arrangement& arrangement) {
+  Feedback feedback;
+  for (EventId v : arrangement) {
+    feedback.push_back(round.contexts(v, 0) > 0.5 ? 1 : 0);
+  }
+  return feedback;
+}
+
+struct PropensityProbe {
+  int diverged_proposals = 0;    // Bank vs a twin bank never asked.
+  int foreign_propensities = 0;  // Bank vs the inner policy's own value.
+};
+
+// 200 rounds over 3 users (12 events, d = 3, c_u = 3). After each
+// Propose the bank is asked for the served arrangement's propensity; a
+// twin bank never is, and standalone copies of the inner policies give
+// the propensity each inner policy reports itself.
+PropensityProbe ProbeBankPropensity(PolicyKind kind,
+                                    const PolicyParams& params) {
+  const ProblemInstance inst = MakeInstance(12, 3);
+  const auto factory = [&](std::int64_t user_id) {
+    return MakePolicy(kind, &inst, params,
+                      100 + static_cast<std::uint64_t>(user_id));
+  };
+  PerUserPolicyBank bank(factory);
+  PerUserPolicyBank twin(factory);
+  std::map<std::int64_t, std::unique_ptr<Policy>> solo;
+  PlatformState state(inst);
+  Pcg64 rng(99);
+  PropensityProbe probe;
+  for (std::int64_t t = 1; t <= 200; ++t) {
+    const std::int64_t user = t % 3;
+    const RoundContext round = RandomRound(rng, 12, 3, 3, user);
+    std::unique_ptr<Policy>& own = solo[user];
+    if (own == nullptr) own = factory(user);
+
+    const Arrangement served = bank.Propose(t, round, state);
+    const Arrangement twin_served = twin.Propose(t, round, state);
+    const Arrangement own_served = own->Propose(t, round, state);
+    if (twin_served != served) ++probe.diverged_proposals;
+    if (bank.PropensityOf(t, round, state, served) !=
+        own->PropensityOf(t, round, state, served)) {
+      ++probe.foreign_propensities;
+    }
+    bank.Learn(t, round, served, AcceptHighFirstFeature(round, served));
+    twin.Learn(t, round, twin_served,
+               AcceptHighFirstFeature(round, twin_served));
+    own->Learn(t, round, own_served, AcceptHighFirstFeature(round, own_served));
+  }
+  return probe;
+}
+
+TEST(PerUserPolicyBankTest, PropensityIsTheInnerPolicysAndDrawsNothing) {
+  PolicyParams params;
+  params.epsilon = 0.3;
+  for (PolicyKind kind : {PolicyKind::kTs, PolicyKind::kEpsGreedy}) {
+    const PropensityProbe probe = ProbeBankPropensity(kind, params);
+    EXPECT_EQ(probe.diverged_proposals, 0) << PolicyKindName(kind);
+    EXPECT_EQ(probe.foreign_propensities, 0) << PolicyKindName(kind);
+  }
 }
 
 TEST(PerUserPolicyBankDeathTest, NullFactoryAborts) {

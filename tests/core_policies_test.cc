@@ -307,6 +307,40 @@ TEST(PolicyFactoryTest, NamesAndKinds) {
   EXPECT_EQ(AllPolicyKinds().size(), 5u);
 }
 
+TEST(PolicyPropensityTest, ServedPropensityIsThePropensityOfWhatWasServed) {
+  // ServedPropensity may skip work, but it must return PropensityOf's
+  // value and leave the serving streams alone.
+  Fixture f = Fixture::Make(12, 3, 3, {{0, 1}, {2, 5}, {4, 7}});
+  PolicyParams params;
+  params.epsilon = 0.3;
+  for (PolicyKind kind :
+       {PolicyKind::kUcb, PolicyKind::kTs, PolicyKind::kEpsGreedy,
+        PolicyKind::kExploit, PolicyKind::kRandom, PolicyKind::kBoltzmann}) {
+    auto policy = MakePolicy(kind, &f.instance, params, 7);
+    auto twin = MakePolicy(kind, &f.instance, params, 7);
+    PlatformState state(f.instance);
+    Pcg64 rng(3);
+    for (std::int64_t t = 1; t <= 60; ++t) {
+      RoundContext round = f.round;
+      for (std::size_t v = 0; v < round.contexts.rows(); ++v) {
+        round.contexts(v, 0) = rng.NextDouble();
+      }
+      const Arrangement served = policy->Propose(t, round, state);
+      ASSERT_EQ(twin->Propose(t, round, state), served)
+          << PolicyKindName(kind) << " round " << t;
+      EXPECT_EQ(policy->ServedPropensity(t, round, state, served),
+                twin->PropensityOf(t, round, state, served))
+          << PolicyKindName(kind) << " round " << t;
+      Feedback feedback;
+      for (EventId v : served) {
+        feedback.push_back(round.contexts(v, 0) > 0.5 ? 1 : 0);
+      }
+      policy->Learn(t, round, served, feedback);
+      twin->Learn(t, round, served, feedback);
+    }
+  }
+}
+
 TEST(PolicyMemoryTest, LearnersDominateRandom) {
   Fixture f = Fixture::Make(100, 20, 5);
   PolicyParams params;

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
+#include "ebsn/shard_wal.h"
 #include "graph/conflict_graph.h"
 #include "io/env.h"
 #include "io/wal.h"
@@ -364,6 +366,60 @@ TEST(ShardedServiceTest, RejectsBadInput) {
   EXPECT_EQ(service.KillShard(7).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service.RecoverShard(0).status().code(),
             StatusCode::kFailedPrecondition);  // Alive — kill it first.
+}
+
+TEST(ShardFrameTest, DeclaredCountsBeyondThePayloadAreRejected) {
+  // Counts in a frame come from disk, or from the wire for MIGRATE. Each
+  // is checked against the bytes left before anything is allocated.
+  const auto patched = [](std::string frame, std::size_t offset,
+                          std::uint32_t value) {
+    EncodeU32(frame.data() + offset, value);
+    return frame;
+  };
+  constexpr std::size_t kHeader = 1 + 8 + 8 + 4;  // kind, txn, trace, epoch
+
+  ReservationRecord reservation;
+  reservation.txn = 9;
+  reservation.events = {1, 2};
+  const std::string reserve = EncodeReserveFrame(reservation);
+  ASSERT_TRUE(DecodeShardFrame(reserve).ok());
+  // The event count follows shard (u32), round, user and lease (i64s).
+  const std::size_t n_events_at = kHeader + 4 + 8 + 8 + 8;
+  EXPECT_EQ(DecodeShardFrame(patched(reserve, n_events_at, 3)).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(
+      DecodeShardFrame(patched(reserve, n_events_at, 0xffffffffu)).status()
+          .code(),
+      StatusCode::kDataLoss);
+
+  MigrateRecord migrate;
+  migrate.src_shard = 1;
+  MigratedEvent moved;
+  moved.event = 3;
+  moved.consumed = 2;
+  moved.observations.push_back({{0.25, -1.0}, 1.0});
+  migrate.events.push_back(moved);
+  const std::string frame = EncodeMigrateFrame(/*trace_id=*/5, 0, migrate);
+  auto decoded = DecodeShardFrame(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->migrate.events.size(), 1u);
+  EXPECT_EQ(decoded->migrate.events[0].observations[0].context,
+            (std::vector<double>{0.25, -1.0}));
+  // src (u32), event count (u32), then per event: id (u32), consumed
+  // (i64), observation count (u32), dim (u32).
+  const std::size_t count_at = kHeader + 4;
+  const std::size_t n_obs_at = count_at + 4 + 4 + 8;
+  const std::size_t dim_at = n_obs_at + 4;
+  for (const auto& [offset, value] :
+       std::vector<std::pair<std::size_t, std::uint32_t>>{
+           {count_at, 0xffffffffu},
+           {n_obs_at, 0xffffffffu},
+           {dim_at, 0xffffffffu},
+           {dim_at, 3}}) {
+    EXPECT_EQ(DecodeShardFrame(patched(frame, offset, value)).status().code(),
+              StatusCode::kDataLoss)
+        << "offset " << offset << " value " << value;
+  }
 }
 
 TEST(ShardedServiceTest, InterruptedTxnWithADeadParticipantCommitsOnRecovery) {

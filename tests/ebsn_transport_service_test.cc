@@ -14,11 +14,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "ebsn/sharded_service.h"
 #include "graph/conflict_graph.h"
 #include "io/env.h"
 #include "linalg/matrix.h"
 #include "model/instance.h"
+#include "net/client.h"
 #include "net/network.h"
 
 namespace fasea {
@@ -244,6 +246,42 @@ TEST(TransportServiceTest, AbandonedTransactionExpiresToPresumedAbort) {
   ASSERT_TRUE(next.ok());
   Feedback fb(next->arrangement.size(), 1);
   EXPECT_TRUE(service.SubmitFeedback(next->txn, fb, nullptr).ok());
+}
+
+TEST(TransportServiceTest, OversizedMatrixHeaderIsRejectedBeforeAllocating) {
+  // A 32-byte SERVE body whose context matrix declares 4294967295 rows
+  // and columns. The shard must answer kInvalidArgument without sizing a
+  // matrix for the declared shape, and keep serving.
+  const ProblemInstance instance = MakeInstance();
+  SimulatedNetwork net(/*seed=*/31);  // Must outlive the service.
+  ShardedArrangementService service(&instance, Opts(4));
+  ASSERT_TRUE(service.ConfigureTransport(&net).ok());
+
+  std::string body;
+  AppendI64(&body, 0);            // user id
+  AppendI64(&body, 6);            // user capacity
+  AppendI64(&body, 0);            // lease expiry
+  AppendU32(&body, 0xffffffffu);  // rows
+  AppendU32(&body, 0xffffffffu);  // cols
+  ASSERT_EQ(body.size(), 32u);
+  {
+    // Its own seed: request ids must not collide with the gateway's, or
+    // the shard's replay cache would answer the gateway from this call.
+    ShardClientOptions rogue_options;
+    rogue_options.seed = 99;
+    ShardClient rogue(&net, /*node=*/99, rogue_options);
+    auto response = rogue.Call(MessageKind::kServe, /*dst=*/0, /*txn=*/7,
+                               /*trace_id=*/7, body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->ToStatus().code(), StatusCode::kInvalidArgument)
+        << response->ToStatus().ToString();
+  }
+
+  auto served = service.ServeUser(0, 6, MakeContexts(1));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  Feedback feedback(served->arrangement.size(), 1);
+  EXPECT_TRUE(service.SubmitFeedback(served->txn, feedback, nullptr).ok());
+  EXPECT_EQ(service.OpenReservations(), 0);
 }
 
 TEST(TransportServiceTest, DecisionQueryAnswersOverTheTransport) {

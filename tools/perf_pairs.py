@@ -21,10 +21,13 @@ in odd ones. Every run's metrics are printed as it finishes. The summary
 gives, for each end-to-end metric: the parent's median and interquartile
 range (IQR, also as a share of the median), the change's median, the
 ratio change/parent, and the pairs the change won (ties count for
-neither side). The verdict is "worse" when the change's median is worse
-than the parent's by more than the metric's bound, and "unresolved" when
-the parent's IQR is wider than that bound. Exits 1 when a run failed or
-reported incorrect output, 0 otherwise.
+neither side). The verdict is "gain" when at least ten pairs ran, the
+change won at least nine tenths of them and its median is better than
+the parent's by more than the parent's IQR. Otherwise it is "worse"
+when the change's median is worse than the parent's by more than the
+metric's bound, and "unresolved" when the parent's IQR is wider than
+that bound. Exits 1 when a run failed or reported incorrect output, 0
+otherwise.
 """
 
 import argparse
@@ -40,6 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS_DIR = ROOT / ".bench_build" / "pairs"
 RUN_TIMEOUT_S = 600
+# Fewer pairs than this cannot show a gain, however they come out.
+MIN_GAIN_PAIRS = 10
 
 
 def fail(message):
@@ -125,11 +130,16 @@ def summarize(spec, runs, pairs):
                    if (c > p if higher else c < p))
         limit = p_med * (1 - bound) if higher else p_med * (1 + bound)
         worse = c_med < limit if higher else c_med > limit
+        better = c_med > p_med if higher else c_med < p_med
         verdicts = []
-        if worse:
-            verdicts.append("worse")
-        if rel_iqr > bound:
-            verdicts.append("unresolved")
+        if (pairs >= MIN_GAIN_PAIRS and 10 * wins >= 9 * pairs and better
+                and abs(c_med - p_med) > iqr):
+            verdicts.append("gain")
+        else:
+            if worse:
+                verdicts.append("worse")
+            if rel_iqr > bound:
+                verdicts.append("unresolved")
         print(f"{name:<16} {metric['unit']:<5} {p_med:>12.4g} {iqr:>12.4g} "
               f"{rel_iqr:>7.1%} {c_med:>12.4g} {ratio:>7.3f} "
               f"{wins:>3}/{pairs:<2}  {', '.join(verdicts) or 'ok'}")
