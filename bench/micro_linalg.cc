@@ -161,7 +161,8 @@ void BM_WidthBatch(benchmark::State& state) {
   std::vector<double> out(n);
   Matrix at;
   for (auto _ : state) {
-    BatchedQuadForm(contexts, y_inv, out, &at);
+    TransposeInto(y_inv, &at);
+    BatchedQuadFormPre(contexts, at, out);
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -4,8 +4,11 @@
 // form).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
+#include "core/linear_policy_base.h"
 #include "core/policy_factory.h"
 #include "datagen/synthetic.h"
 #include "rng/seed.h"
@@ -20,8 +23,7 @@ struct World {
   Pcg64 feedback_rng{1};
 };
 
-World MakeWorld(PolicyKind kind, std::size_t num_events, std::size_t dim,
-                bool scalar_scoring = false) {
+World MakeWorld(PolicyKind kind, std::size_t num_events, std::size_t dim) {
   SyntheticConfig config;
   config.num_events = num_events;
   config.dim = dim;
@@ -32,9 +34,7 @@ World MakeWorld(PolicyKind kind, std::size_t num_events, std::size_t dim,
   auto world = SyntheticWorld::Create(config);
   FASEA_CHECK(world.ok());
   World w{std::move(world).value(), nullptr, {}, Pcg64(5)};
-  PolicyParams params;
-  params.scalar_scoring = scalar_scoring;
-  w.policy = MakePolicy(kind, &w.world->instance(), params, 3);
+  w.policy = MakePolicy(kind, &w.world->instance(), PolicyParams{}, 3);
   w.state = PlatformState(w.world->instance());
   return w;
 }
@@ -87,25 +87,31 @@ BENCHMARK(BM_EGreedyRound) FASEA_POLICY_ARGS;
 BENCHMARK(BM_ExploitRound) FASEA_POLICY_ARGS;
 BENCHMARK(BM_RandomRound) FASEA_POLICY_ARGS;
 
-// --- Propose-only, batched kernels vs the scalar reference
-// (ScoringMode::kScalar) side by side. 64 warm-up learning rounds make Y,
-// θ̂, and TS's maintained factor representative before timing starts; the
-// timed loop never Learns, so the pairs isolate the batched scoring
-// path. The UCB d=50 and TS d≥30 speedups frozen in BENCH_PR4.json came
-// from these pairs.
-void RunProposeOnly(benchmark::State& state, PolicyKind kind,
-                    bool scalar_scoring) {
+// --- Propose-only. 64 warm-up learning rounds make Y, θ̂, and TS's
+// maintained factor representative before timing starts; the timed loop
+// never Learns, so these isolate the scoring path. BM_UcbProposeScalar
+// times the per-event reference UCB's batched kernels replaced — one
+// RidgeState PredictedReward + ConfidenceWidthSq pair per event, then
+// the same GreedyOracle — so the UCB pair is the kernels' A/B (and the
+// perf-smoke gate in tools/check.sh). The UCB d=50 and TS d≥30 speedups
+// frozen in BENCH_PR4.json came from such pairs.
+World WarmUp(benchmark::State& state, PolicyKind kind, std::int64_t* t) {
   const std::size_t num_events = static_cast<std::size_t>(state.range(0));
   const std::size_t dim = static_cast<std::size_t>(state.range(1));
-  World w = MakeWorld(kind, num_events, dim, scalar_scoring);
-  std::int64_t t = 0;
-  for (; t < 64; ++t) {
-    const RoundContext& round = w.world->provider().NextRound(t % 1000 + 1);
-    const Arrangement a = w.policy->Propose(t + 1, round, w.state);
-    const Feedback fb =
-        w.world->feedback().Sample(t + 1, round.contexts, a, w.feedback_rng);
-    w.policy->Learn(t + 1, round, a, fb);
+  World w = MakeWorld(kind, num_events, dim);
+  for (*t = 0; *t < 64; ++*t) {
+    const RoundContext& round = w.world->provider().NextRound(*t % 1000 + 1);
+    const Arrangement a = w.policy->Propose(*t + 1, round, w.state);
+    const Feedback fb = w.world->feedback().Sample(*t + 1, round.contexts, a,
+                                                   w.feedback_rng);
+    w.policy->Learn(*t + 1, round, a, fb);
   }
+  return w;
+}
+
+void RunProposeOnly(benchmark::State& state, PolicyKind kind) {
+  std::int64_t t = 0;
+  World w = WarmUp(state, kind, &t);
   // One fixed round for the timed loop: regenerating contexts per
   // iteration would time the synthetic data generator, not the policy.
   const RoundContext& round = w.world->provider().NextRound(1);
@@ -117,28 +123,38 @@ void RunProposeOnly(benchmark::State& state, PolicyKind kind,
 }
 
 void BM_UcbProposeBatched(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kUcb, /*scalar_scoring=*/false);
+  RunProposeOnly(state, PolicyKind::kUcb);
 }
 void BM_UcbProposeScalar(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kUcb, /*scalar_scoring=*/true);
+  std::int64_t t = 0;
+  World w = WarmUp(state, PolicyKind::kUcb, &t);
+  const RidgeState& ridge =
+      static_cast<const LinearPolicyBase&>(*w.policy).ridge();
+  const double alpha = PolicyParams{}.alpha;
+  const ProblemInstance& instance = w.world->instance();
+  const RoundContext& round = w.world->provider().NextRound(1);
+  std::vector<double> scores(round.contexts.rows());
+  GreedyOracle oracle;
+  for (auto _ : state) {
+    for (std::size_t v = 0; v < scores.size(); ++v) {
+      const std::span<const double> x = round.contexts.Row(v);
+      scores[v] = ridge.PredictedReward(x) +
+                  alpha * std::sqrt(ridge.ConfidenceWidthSq(x));
+    }
+    ApplyAvailabilityMask(round, scores);
+    const Arrangement a = oracle.Select(scores, instance.conflicts(),
+                                        w.state, round.user_capacity);
+    benchmark::DoNotOptimize(a);
+  }
 }
 void BM_TsProposeBatched(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kTs, /*scalar_scoring=*/false);
-}
-void BM_TsProposeScalar(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kTs, /*scalar_scoring=*/true);
+  RunProposeOnly(state, PolicyKind::kTs);
 }
 void BM_EGreedyProposeBatched(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kEpsGreedy, /*scalar_scoring=*/false);
-}
-void BM_EGreedyProposeScalar(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kEpsGreedy, /*scalar_scoring=*/true);
+  RunProposeOnly(state, PolicyKind::kEpsGreedy);
 }
 void BM_ExploitProposeBatched(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kExploit, /*scalar_scoring=*/false);
-}
-void BM_ExploitProposeScalar(benchmark::State& state) {
-  RunProposeOnly(state, PolicyKind::kExploit, /*scalar_scoring=*/true);
+  RunProposeOnly(state, PolicyKind::kExploit);
 }
 
 #define FASEA_PROPOSE_ARGS         \
@@ -151,11 +167,8 @@ void BM_ExploitProposeScalar(benchmark::State& state) {
 BENCHMARK(BM_UcbProposeBatched) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_UcbProposeScalar) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_TsProposeBatched) FASEA_PROPOSE_ARGS;
-BENCHMARK(BM_TsProposeScalar) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_EGreedyProposeBatched) FASEA_PROPOSE_ARGS;
-BENCHMARK(BM_EGreedyProposeScalar) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_ExploitProposeBatched) FASEA_PROPOSE_ARGS;
-BENCHMARK(BM_ExploitProposeScalar) FASEA_PROPOSE_ARGS;
 
 }  // namespace
 }  // namespace fasea

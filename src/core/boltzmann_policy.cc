@@ -21,15 +21,7 @@ std::span<double> BoltzmannPolicy::ScoreRound(const RoundContext& round) {
   // matrix instead.
   const ContextMatrix& contexts = RoundContexts(round);
   std::span<double> scores = Scores(contexts.rows());
-  if (scoring_mode() == ScoringMode::kBatched) {
-    ridge_.PredictBatch(contexts, scores);
-  } else {
-    const Vector& theta = ridge_.ThetaHat();
-    for (std::size_t v = 0; v < contexts.rows(); ++v) {
-      scores[v] = Dot(contexts.Row(v), theta.span());
-    }
-  }
-  ApplyAvailabilityMask(round, scores);
+  ScoreMean(ridge_, round, contexts, scores);
   return scores;
 }
 

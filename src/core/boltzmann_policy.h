@@ -52,8 +52,8 @@ class BoltzmannPolicy final : public LinearPolicyBase {
                       const Arrangement& arrangement) override;
 
  private:
-  /// Scores the round with x ᵀ θ̂ (batched or scalar per scoring_mode())
-  /// and applies the availability mask; returns the score span.
+  /// Scores the round with the mean row x ᵀ θ̂ (the softmax logits
+  /// before the temperature) and returns the score span.
   std::span<double> ScoreRound(const RoundContext& round);
 
   /// Collects the events feasible at the current position into feasible_

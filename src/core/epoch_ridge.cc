@@ -152,16 +152,6 @@ double EpochRidgeState::ConfidenceWidthSq(std::span<const double> x) const {
   return std::max(w, 0.0) / lambda_;
 }
 
-void EpochRidgeState::PredictBatch(const Matrix& contexts,
-                                   std::span<double> out) const {
-  if (config_.mode != LearnerMode::kSketch) {
-    inner_->PredictBatch(contexts, out);
-    return;
-  }
-  FASEA_CHECK(out.size() == contexts.rows());
-  GemvRows(contexts, ThetaHat().span(), out);
-}
-
 void EpochRidgeState::ConfidenceWidthSqBatch(const Matrix& contexts,
                                              std::span<double> out) const {
   if (config_.mode != LearnerMode::kSketch) {

@@ -35,7 +35,21 @@
 
 namespace fasea {
 
-class EpochRidgeState {
+/// The three reads every linear policy scores through: θ̂, the batched
+/// confidence widths xᵀY⁻¹x, and a posterior draw θ̃ ~ N(θ̂, q²·Y⁻¹).
+/// The live learner (EpochRidgeState) and a published LearnerSnapshot
+/// both provide them, so each policy writes its scoring rule once.
+class LearnerView {
+ public:
+  virtual const Vector& ThetaHat() const = 0;
+  virtual void ConfidenceWidthSqBatch(const Matrix& contexts,
+                                      std::span<double> out) const = 0;
+  /// False, drawing nothing, when the view has no usable factor of Y;
+  /// the caller then scores with θ̂ (a degraded round).
+  virtual bool SamplePosterior(Pcg64& rng, double q, Vector* out) const = 0;
+};
+
+class EpochRidgeState final : public LearnerView {
  public:
   EpochRidgeState(std::size_t dim, double lambda,
                   const LearnerConfig& config = {});
@@ -56,18 +70,17 @@ class EpochRidgeState {
   void Flush();
 
   // ---- Scoring surface (identical semantics to RidgeState) ----
-  const Vector& ThetaHat() const;
+  const Vector& ThetaHat() const override;
   double PredictedReward(std::span<const double> x) const;
   double ConfidenceWidthSq(std::span<const double> x) const;
-  void PredictBatch(const Matrix& contexts, std::span<double> out) const;
   void ConfidenceWidthSqBatch(const Matrix& contexts,
-                              std::span<double> out) const;
+                              std::span<double> out) const override;
 
   /// Draws θ̃ ~ N(θ̂, q²·Y⁻¹) for Thompson sampling. Exact-backed modes
   /// use the maintained Cholesky factor and return false when it is
   /// unhealthy (caller falls back to its degraded proposal); kSketch
   /// samples through the Woodbury square root and always succeeds.
-  bool SamplePosterior(Pcg64& rng, double q, Vector* out) const;
+  bool SamplePosterior(Pcg64& rng, double q, Vector* out) const override;
 
   // ---- Exact-backed state (CHECK-fails under kSketch) ----
   const Cholesky& Factor() const { return exact_ref().Factor(); }

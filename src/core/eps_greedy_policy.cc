@@ -1,10 +1,23 @@
 #include "core/eps_greedy_policy.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "rng/distributions.h"
 #include "rng/seed.h"
 
 namespace fasea {
+
+namespace {
+
+// An exploration row: its "scores" only mark availability for the
+// random oracle.
+void ExplorationRow(const RoundContext& round, std::span<double> out) {
+  std::fill(out.begin(), out.end(), 0.0);
+  ApplyAvailabilityMask(round, out);
+}
+
+}  // namespace
 
 EpsGreedyPolicy::EpsGreedyPolicy(const ProblemInstance* instance,
                                  const EpsGreedyParams& params, Pcg64 rng)
@@ -17,25 +30,20 @@ EpsGreedyPolicy::EpsGreedyPolicy(const ProblemInstance* instance,
   FASEA_CHECK(params.epsilon >= 0.0 && params.epsilon <= 1.0);
 }
 
-void EpsGreedyPolicy::ScoreBatchSnapshot(
-    const LearnerSnapshot& snapshot, std::span<const SnapshotRound> rows,
-    Matrix* scores, std::span<RowResolve> resolve) const {
-  // Exploitation scores for every row first (a θ̂ GEMV per user via the
-  // base), then the per-ticket coins overwrite exploration rows with the
-  // availability-only scores the random oracle expects.
-  LinearPolicyBase::ScoreBatchSnapshot(snapshot, rows, scores, resolve);
-  if (params_.epsilon <= 0.0) return;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+RowResolve EpsGreedyPolicy::ScoreArrival(const LearnerView& view,
+                                         const SnapshotRound& arrival,
+                                         std::span<double> out) const {
+  if (params_.epsilon > 0.0) {
     Pcg64 coin(DeriveSeed(batch_salt_, "coin",
-                          static_cast<std::uint64_t>(rows[i].ticket)),
+                          static_cast<std::uint64_t>(arrival.ticket)),
                HashTag("egreedy-batch-coin"));
     if (coin.NextDouble() <= params_.epsilon) {
-      resolve[i] = RowResolve::kRandom;
-      std::span<double> row = scores->Row(i);
-      std::fill(row.begin(), row.end(), 0.0);
-      ApplyAvailabilityMask(*rows[i].round, row);
+      ExplorationRow(*arrival.round, out);
+      return RowResolve::kRandom;
     }
   }
+  ScoreMean(view, *arrival.round, arrival.round->contexts, out);
+  return RowResolve::kGreedy;
 }
 
 Arrangement EpsGreedyPolicy::Propose(std::int64_t t,
@@ -49,10 +57,8 @@ Arrangement EpsGreedyPolicy::Propose(std::int64_t t,
   std::span<double> scores = Scores(n);
   if (params_.epsilon > 0.0 &&
       coin_rng_.NextDouble() <= params_.epsilon) {
-    // Exploration: a random feasible arrangement. Scores only mark
-    // availability for the random oracle.
-    std::fill(scores.begin(), scores.end(), 0.0);
-    ApplyAvailabilityMask(round, scores);
+    // Exploration: a random feasible arrangement.
+    ExplorationRow(round, scores);
     const std::int64_t random_start = SpanStart();
     Arrangement arrangement = random_oracle_.Select(
         scores, conflicts(), state, round.user_capacity);
@@ -69,15 +75,7 @@ Arrangement EpsGreedyPolicy::Propose(std::int64_t t,
   }
   // Exploitation: greedy on estimated expected rewards.
   const std::int64_t score_start = SpanStart();
-  if (scoring_mode() == ScoringMode::kBatched) {
-    ridge_.PredictBatch(round.contexts, scores);
-  } else {
-    const Vector& theta = ridge_.ThetaHat();
-    for (std::size_t v = 0; v < round.contexts.rows(); ++v) {
-      scores[v] = Dot(round.contexts.Row(v), theta.span());
-    }
-  }
-  ApplyAvailabilityMask(round, scores);
+  ScoreMean(ridge_, round, round.contexts, scores);
   RecordSpanSince("policy.score", t, score_start);
   const std::int64_t greedy_start = SpanStart();
   Arrangement arrangement =
@@ -94,24 +92,15 @@ double EpsGreedyPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
   // propensity needs every event's score, not a top-k).
   const ContextMatrix& contexts = RoundContexts(round);
   std::span<double> scores = Scores(contexts.rows());
-  if (scoring_mode() == ScoringMode::kBatched) {
-    ridge_.PredictBatch(contexts, scores);
-  } else {
-    const Vector& theta = ridge_.ThetaHat();
-    for (std::size_t v = 0; v < contexts.rows(); ++v) {
-      scores[v] = Dot(contexts.Row(v), theta.span());
-    }
-  }
-  ApplyAvailabilityMask(round, scores);
+  ScoreMean(ridge_, round, contexts, scores);
   const bool greedy_match =
       greedy_.Select(scores, conflicts(), state, round.user_capacity) ==
       arrangement;
   double p = greedy_match ? 1.0 - params_.epsilon : 0.0;
   if (params_.epsilon > 0.0) {
-    // Exploration component: availability-only scores, same filter the
+    // Exploration component: the same availability-only row the
     // exploration branch of Propose hands its RandomOracle.
-    std::fill(scores.begin(), scores.end(), 0.0);
-    ApplyAvailabilityMask(round, scores);
+    ExplorationRow(round, scores);
     p += params_.epsilon *
          McRandomArrangementMass(
              DeriveSeed(propensity_salt_, "mc",

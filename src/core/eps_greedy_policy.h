@@ -38,16 +38,6 @@ class EpsGreedyPolicy : public LinearPolicyBase {
   Arrangement Propose(std::int64_t t, const RoundContext& round,
                       const PlatformState& state) override;
 
-  /// Batched eGreedy over a snapshot: each user's ε coin comes from a
-  /// private stream derived from the ticket (the sequential coin stream
-  /// is untouched). Exploitation rows carry x ᵀ θ̂; exploration rows are
-  /// marked kRandom with availability-only scores — the serving layer
-  /// resolves them through a ticket-seeded RandomOracle.
-  void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
-                          std::span<const SnapshotRound> rows,
-                          Matrix* scores,
-                          std::span<RowResolve> resolve) const override;
-
   /// ε-mixture: (1−ε)·𝟙[A = greedy(θ̂)] + ε·P_random(A), the random mass
   /// Monte-Carlo estimated on a derived per-round stream (never the coin
   /// or oracle streams, so serving draws are untouched).
@@ -60,6 +50,16 @@ class EpsGreedyPolicy : public LinearPolicyBase {
   double ServedPropensity(std::int64_t t, const RoundContext& round,
                           const PlatformState& state,
                           const Arrangement& served) override;
+
+ protected:
+  /// Each arrival's ε coin comes from a private stream derived from its
+  /// ticket (the sequential coin stream is untouched). Exploitation rows
+  /// carry the mean row; exploration rows are marked kRandom with
+  /// availability-only scores — the serving layer resolves them through
+  /// a ticket-seeded RandomOracle.
+  RowResolve ScoreArrival(const LearnerView& view,
+                          const SnapshotRound& arrival,
+                          std::span<double> out) const override;
 
  private:
   EpsGreedyParams params_;

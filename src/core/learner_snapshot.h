@@ -12,23 +12,28 @@
 // slack epoch-based learners tolerate by design); capacities are NOT
 // part of the snapshot — they resolve under the short critical section.
 //
-// Everything a policy's scoring pass needs is precomputed here once per
-// commit instead of once per request: θ̂, the transpose of Y⁻¹ (the
-// confidence-width kernel's operand), and the Cholesky factor of Y for
-// posterior sampling.
+// A snapshot is a LearnerView (core/epoch_ridge.h): the policies score it
+// with the very routine they score the live learner with. Everything
+// those reads need is precomputed here once per commit instead of once
+// per request: θ̂, the transpose of Y⁻¹ (the confidence-width kernel's
+// operand), and the Cholesky factor of Y for posterior sampling. The
+// reads never mutate, so any number of threads may score one snapshot.
 #ifndef FASEA_CORE_LEARNER_SNAPSHOT_H_
 #define FASEA_CORE_LEARNER_SNAPSHOT_H_
 
 #include <cstdint>
 #include <optional>
 
+#include "core/epoch_ridge.h"
 #include "linalg/cholesky.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "linalg/mvn.h"
 #include "linalg/vector.h"
 
 namespace fasea {
 
-struct LearnerSnapshot {
+struct LearnerSnapshot final : LearnerView {
   /// Observation count at capture (num_observations of the ridge) — the
   /// same monotone version the decision log calls theta_version.
   std::int64_t epoch = 0;
@@ -47,6 +52,17 @@ struct LearnerSnapshot {
   /// break this identity with overwhelming probability; the staleness
   /// invariant tests recompute it to prove snapshots are never partial.
   double theta_checksum = 0.0;
+
+  const Vector& ThetaHat() const override { return theta_hat; }
+  void ConfidenceWidthSqBatch(const Matrix& contexts,
+                              std::span<double> out) const override {
+    BatchedQuadFormPre(contexts, y_inverse_t, out);
+  }
+  bool SamplePosterior(Pcg64& rng, double q, Vector* out) const override {
+    if (!factor.has_value()) return false;
+    *out = SampleMvnFromPrecision(rng, theta_hat, q, *factor);
+    return true;
+  }
 };
 
 }  // namespace fasea

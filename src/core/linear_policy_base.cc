@@ -34,13 +34,24 @@ void LinearPolicyBase::ScoreBatchSnapshot(
   FASEA_CHECK(snapshot.healthy);
   FASEA_CHECK(scores->rows() == rows.size() &&
               resolve.size() == rows.size());
-  // Pure exploitation: each user's GEMV writes straight into its score
-  // row — the same call a lone PredictBatch makes, so the bits match.
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::span<double> row = scores->Row(i);
-    GemvRows(rows[i].round->contexts, snapshot.theta_hat.span(), row);
-    ApplyAvailabilityMask(*rows[i].round, row);
+    resolve[i] = ScoreArrival(snapshot, rows[i], scores->Row(i));
   }
+}
+
+RowResolve LinearPolicyBase::ScoreArrival(const LearnerView& view,
+                                          const SnapshotRound& arrival,
+                                          std::span<double> out) const {
+  ScoreMean(view, *arrival.round, arrival.round->contexts, out);
+  return RowResolve::kGreedy;
+}
+
+void LinearPolicyBase::ScoreMean(const LearnerView& view,
+                                 const RoundContext& round,
+                                 const ContextMatrix& contexts,
+                                 std::span<double> out) {
+  GemvRows(contexts, view.ThetaHat().span(), out);
+  ApplyAvailabilityMask(round, out);
 }
 
 void LinearPolicyBase::Learn(std::int64_t /*t*/, const RoundContext& round,
@@ -119,28 +130,20 @@ Arrangement LinearPolicyBase::ProposeLazy(std::int64_t /*t*/,
         /*widths_monotone=*/ridge_.mode() != LearnerMode::kSketch);
   }
   FASEA_DCHECK(alpha == lazy_scorer_->alpha());
-  // Rescores must reproduce the eager scoring path bit for bit in BOTH
-  // modes. Scalar mode calls the per-event functions; batched mode runs
-  // the batch kernels on a 1-row matrix — their per-row results are
-  // batch-size-invariant, so equality holds without leaning on the
-  // kernels' bit-compatibility with the scalar forms.
-  const bool batched = scoring_mode() == ScoringMode::kBatched;
-  if (batched && lazy_row_.rows() != 1) {
-    lazy_row_ = Matrix(1, instance_->dim());
-  }
+  // Rescores must reproduce the eager scores bit for bit: they run the
+  // same view reads and kernels on a 1-row matrix, whose per-row results
+  // are batch-size-invariant. The width read reuses the learner's cached
+  // (Y⁻¹)ᵀ, so all rescores under one learner version share a transpose.
+  if (lazy_row_.rows() != 1) lazy_row_ = Matrix(1, instance_->dim());
   const auto rescore = [&](EventId v) {
     std::span<const double> x = cache->Row(v);
+    std::copy(x.begin(), x.end(), lazy_row_.Row(0).begin());
     LazyEventScore s;
-    if (batched) {
-      std::copy(x.begin(), x.end(), lazy_row_.Row(0).begin());
-      ridge_.PredictBatch(lazy_row_, std::span<double>(&s.pred, 1));
-      if (alpha > 0.0) {
-        ridge_.ConfidenceWidthSqBatch(lazy_row_,
-                                      std::span<double>(&s.width_sq, 1));
-      }
-    } else {
-      s.pred = ridge_.PredictedReward(x);
-      if (alpha > 0.0) s.width_sq = ridge_.ConfidenceWidthSq(x);
+    GemvRows(lazy_row_, ridge_.ThetaHat().span(),
+             std::span<double>(&s.pred, 1));
+    if (alpha > 0.0) {
+      ridge_.ConfidenceWidthSqBatch(lazy_row_,
+                                    std::span<double>(&s.width_sq, 1));
     }
     return s;
   };
@@ -151,14 +154,7 @@ Arrangement LinearPolicyBase::ProposeLazy(std::int64_t /*t*/,
 void LinearPolicyBase::EstimateRewards(const ContextMatrix& contexts,
                                        std::span<double> out) const {
   FASEA_CHECK(out.size() == contexts.rows());
-  if (scoring_mode() == ScoringMode::kBatched) {
-    ridge_.PredictBatch(contexts, out);
-    return;
-  }
-  const Vector& theta = ridge_.ThetaHat();
-  for (std::size_t v = 0; v < contexts.rows(); ++v) {
-    out[v] = Dot(contexts.Row(v), theta.span());
-  }
+  GemvRows(contexts, ridge_.ThetaHat().span(), out);
 }
 
 std::size_t LinearPolicyBase::MemoryBytes() const {

@@ -1,6 +1,14 @@
-// Shared machinery of the four ridge learners (TS, UCB, eGreedy, Exploit):
-// the RidgeState, the greedy arrangement oracle, the score scratch buffer,
-// and the common Learn step (Y ← Y + Σ x xᵀ, b ← b + Σ r x).
+// Shared machinery of the four ridge learners (TS, UCB, eGreedy, Exploit)
+// and the Boltzmann explorer: the learner, the greedy arrangement oracle,
+// the score scratch buffer, and the common Learn step (Y ← Y + Σ x xᵀ,
+// b ← b + Σ r x).
+//
+// Each policy turns learner state into a score row in exactly one
+// function, written against a LearnerView (core/epoch_ridge.h): the mean
+// row x ᵀ θ̂ here (Exploit, eGreedy, Boltzmann), UCB's upper bounds and
+// TS's posterior draw in their own classes. Live Propose and PropensityOf
+// pass the live learner, ScoreBatchSnapshot passes a LearnerSnapshot, and
+// lazy rescores read the same view one row at a time.
 #ifndef FASEA_CORE_LINEAR_POLICY_BASE_H_
 #define FASEA_CORE_LINEAR_POLICY_BASE_H_
 
@@ -19,15 +27,6 @@
 #include "oracle/greedy.h"
 
 namespace fasea {
-
-/// Which implementation the linear policies score rounds with. kBatched
-/// (default) runs one fused kernel over the whole context matrix per
-/// round; kScalar preserves the per-event loops those kernels replaced —
-/// the reference path for equivalence tests and the A/B benches. For UCB,
-/// eGreedy and Exploit the two modes are bit-identical; TS differs only
-/// in which Cholesky factor it samples through (maintained incremental
-/// vs fresh per-round), equal up to rank-1 rounding drift.
-enum class ScoringMode { kBatched, kScalar };
 
 /// One user of a cross-user batch handed to ScoreBatchSnapshot. `ticket`
 /// is the arrival-order id the serving layer assigned — stochastic
@@ -83,9 +82,6 @@ class LinearPolicyBase : public Policy {
   /// The lazy scorer, once a lazy propose created it (else nullptr).
   const LazyScorer* lazy_scorer() const { return lazy_scorer_.get(); }
 
-  ScoringMode scoring_mode() const { return scoring_mode_; }
-  void set_scoring_mode(ScoringMode mode) { scoring_mode_ = mode; }
-
   /// Captures the current learning state as an immutable epoch snapshot
   /// (see core/learner_snapshot.h). Caller must hold whatever lock
   /// serializes Learn — the capture itself reads the live ridge.
@@ -93,22 +89,15 @@ class LinearPolicyBase : public Policy {
 
   /// Scores every batch row against `snapshot` — no live learner state is
   /// read, so this runs with no lock held. `scores` must be pre-shaped
-  /// rows.size() × |V|; `resolve` (same length, pre-filled kGreedy) tells
-  /// the caller how to turn each row into an arrangement. Per-row scores
-  /// are bit-identical to what the sequential batched Propose computes
-  /// from the same learner state, availability masks included (batched
-  /// rounds carry none today, but the mask is applied for parity). Each
-  /// user is scored straight into its own score row. The base
-  /// implementation is pure exploitation (a θ̂ GEMV per user); UCB adds
-  /// the confidence width via the snapshot's precomputed (Y⁻¹)ᵀ, TS
-  /// samples a per-ticket θ̃ through the snapshot's factor, eGreedy flips
-  /// a per-ticket coin and marks exploration rows kRandom. Requires
-  /// snapshot.healthy — the serving layer falls back to stateless
-  /// proposals otherwise.
-  virtual void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
-                                  std::span<const SnapshotRound> rows,
-                                  Matrix* scores,
-                                  std::span<RowResolve> resolve) const;
+  /// rows.size() × |V|; `resolve` (same length) tells the caller how to
+  /// turn each row into an arrangement. Each row is ScoreArrival, so it
+  /// is bit-identical to what Propose computes from the same learner
+  /// state, availability mask included. Requires snapshot.healthy — the
+  /// serving layer falls back to stateless proposals otherwise.
+  void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
+                          std::span<const SnapshotRound> rows,
+                          Matrix* scores,
+                          std::span<RowResolve> resolve) const;
 
  protected:
   /// `instance` must outlive the policy. `learner` selects the
@@ -140,6 +129,19 @@ class LinearPolicyBase : public Policy {
 
   const ConflictGraph& conflicts() const { return instance_->conflicts(); }
 
+  /// One arrival's score row against `view` through the policy's scoring
+  /// routine, its randomness (TS's draw, eGreedy's coin) derived from the
+  /// ticket — so the row depends only on (view, ticket, round), never on
+  /// timing. The default scores the mean row.
+  virtual RowResolve ScoreArrival(const LearnerView& view,
+                                  const SnapshotRound& arrival,
+                                  std::span<double> out) const;
+
+  /// The mean row: x ᵀ θ̂ under `view` for every row of `contexts`, with
+  /// the round's availability mask applied.
+  static void ScoreMean(const LearnerView& view, const RoundContext& round,
+                        const ContextMatrix& contexts, std::span<double> out);
+
   /// Resizes the scratch score buffer to n and returns it.
   std::span<double> Scores(std::size_t n) {
     scores_.resize(n);
@@ -170,14 +172,13 @@ class LinearPolicyBase : public Policy {
 
  private:
   std::vector<double> scores_;
-  ScoringMode scoring_mode_ = ScoringMode::kBatched;
   std::size_t cache_budget_ = 0;
   std::unique_ptr<ContextCache> cache_;
   std::unique_ptr<LazyScorer> lazy_scorer_;
-  // 1×d scratch for lazy rescores in batched mode: the rescore runs
-  // through the same batch kernels eager scoring uses, whose per-row
-  // results are batch-size-invariant, so a 1-row call reproduces the
-  // full-matrix result exactly by construction.
+  // 1×d scratch for lazy rescores: the rescore runs through the same
+  // view reads and kernels eager scoring uses, whose per-row results are
+  // batch-size-invariant, so a 1-row call reproduces the full-matrix
+  // result exactly by construction.
   Matrix lazy_row_;
   // Last-synced cache counter values: Learn publishes deltas to the
   // process-wide metrics so the per-row hot loop stays atomics-free.

@@ -31,8 +31,6 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
                                    const ProblemInstance* instance,
                                    const PolicyParams& params,
                                    std::uint64_t seed) {
-  const ScoringMode mode =
-      params.scalar_scoring ? ScoringMode::kScalar : ScoringMode::kBatched;
   switch (kind) {
     case PolicyKind::kUcb: {
       UcbParams p;
@@ -40,7 +38,6 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.alpha = params.alpha;
       p.learner = params.learner;
       auto policy = std::make_unique<UcbPolicy>(instance, p);
-      policy->set_scoring_mode(mode);
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
@@ -51,7 +48,6 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.learner = params.learner;
       auto policy =
           std::make_unique<TsPolicy>(instance, p, MakeEngine(seed, "ts"));
-      policy->set_scoring_mode(mode);
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
@@ -62,19 +58,16 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.learner = params.learner;
       auto policy = std::make_unique<EpsGreedyPolicy>(
           instance, p, MakeEngine(seed, "egreedy"));
-      policy->set_scoring_mode(mode);
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
     case PolicyKind::kExploit: {
       auto policy =
           MakeExploitPolicy(instance, params.lambda, params.learner);
-      policy->set_scoring_mode(mode);
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
     case PolicyKind::kRandom:
-      // Random has no learning state; scoring mode does not apply.
       return std::make_unique<RandomPolicy>(instance,
                                             MakeEngine(seed, "random"));
     case PolicyKind::kBoltzmann: {
@@ -84,7 +77,6 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.learner = params.learner;
       auto policy = std::make_unique<BoltzmannPolicy>(
           instance, p, MakeEngine(seed, "boltzmann"));
-      policy->set_scoring_mode(mode);
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }

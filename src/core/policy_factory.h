@@ -30,10 +30,6 @@ struct PolicyParams {
   double delta = 0.1;   // TS.
   double epsilon = 0.1; // eGreedy.
   double temperature = 0.2; // Boltzmann softmax τ.
-  // Use the pre-batching per-event scoring loops (ScoringMode::kScalar)
-  // instead of the fused kernels — the reference path for equivalence
-  // tests and the scalar-vs-batched benches.
-  bool scalar_scoring = false;
   // Learner maintenance mode for the ridge policies (exact / epoch /
   // sketch; core/learner_config.h). Random ignores it.
   LearnerConfig learner;

@@ -33,7 +33,7 @@ StatusOr<RidgeState> RidgeState::FromComponents(double lambda, Matrix y,
   RidgeState state(b.size(), lambda, refactor_every);
   state.inverse_ = std::move(inverse).value();
   state.b_ = std::move(b);
-  state.theta_dirty_ = true;
+  state.Invalidate();
   // FromMatrix already factorized Y once to derive the inverse, so this
   // second factorization cannot fail; it seeds the maintained factor.
   auto factor = Cholesky::Factorize(state.inverse_.y());
@@ -50,7 +50,7 @@ void RidgeState::Update(std::span<const double> x, double reward) {
     factor_healthy_ = false;
   }
   Axpy(reward, x, b_.span());
-  theta_dirty_ = true;
+  Invalidate();
   // Same cadence as the inverse: the periodic exact re-derivation clears
   // rank-1 rounding drift and doubles as the recovery path after a
   // failed update left the factor unusable.
@@ -70,7 +70,7 @@ void RidgeState::ApplyBlock(const Matrix& x_block,
     Axpy(rewards[i], x_block.Row(i), b_.span());
   }
   RefactorizeFactor();
-  theta_dirty_ = true;
+  Invalidate();
 }
 
 void RidgeState::RefactorizeFactor() {
@@ -106,7 +106,11 @@ void RidgeState::PredictBatch(const Matrix& contexts,
 void RidgeState::ConfidenceWidthSqBatch(const Matrix& contexts,
                                         std::span<double> out) const {
   FASEA_CHECK(out.size() == contexts.rows());
-  BatchedQuadForm(contexts, inverse_.inverse(), out, &batch_at_);
+  if (inverse_t_dirty_) {
+    TransposeInto(inverse_.inverse(), &inverse_t_);
+    inverse_t_dirty_ = false;
+  }
+  BatchedQuadFormPre(contexts, inverse_t_, out);
 }
 
 }  // namespace fasea

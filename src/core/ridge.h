@@ -70,10 +70,13 @@ class RidgeState {
   /// instead of |V| dots. Bit-identical to PredictedReward per row.
   void PredictBatch(const Matrix& contexts, std::span<double> out) const;
 
-  /// Batched xᵀ Y⁻¹ x over every row of `contexts`: BatchedQuadForm
+  /// Batched xᵀ Y⁻¹ x over every row of `contexts`: BatchedQuadFormPre
   /// instead of |V| d×d quadratic forms. Bit-identical to
-  /// ConfidenceWidthSq per row. Mutates internal scratch — a RidgeState
-  /// was never shareable across threads without a lock anyway (Update).
+  /// ConfidenceWidthSq per row. The kernel's operand (Y⁻¹)ᵀ is
+  /// transposed once per learner change and cached, so a lazy round's
+  /// one-row rescores do not each pay an O(d²) transpose. Filling the
+  /// cache mutates internal state — a RidgeState was never shareable
+  /// across threads without a lock anyway (Update).
   void ConfidenceWidthSqBatch(const Matrix& contexts,
                               std::span<double> out) const;
 
@@ -125,7 +128,7 @@ class RidgeState {
   void Refactorize() {
     inverse_.Refactorize();
     RefactorizeFactor();
-    theta_dirty_ = true;
+    Invalidate();
   }
 
   /// Test hook: simulates numerical corruption of Y.
@@ -145,13 +148,18 @@ class RidgeState {
   std::size_t MemoryBytes() const {
     return inverse_.MemoryBytes() + b_.MemoryBytes() +
            theta_hat_.MemoryBytes() + factor_.L().MemoryBytes() +
-           factor_work_.MemoryBytes() + batch_at_.MemoryBytes();
+           factor_work_.MemoryBytes() + inverse_t_.MemoryBytes();
   }
 
  private:
   /// Re-derives the factor from the tracked Y (O(d³)); clears rank-1
   /// drift, restores health on success.
   void RefactorizeFactor();
+  /// Marks θ̂ and (Y⁻¹)ᵀ stale after Y⁻¹ or b changed.
+  void Invalidate() {
+    theta_dirty_ = true;
+    inverse_t_dirty_ = true;
+  }
 
   double lambda_;
   SymmetricInverse inverse_;
@@ -162,9 +170,10 @@ class RidgeState {
   std::int64_t num_factor_failures_ = 0;
   bool factor_healthy_ = true;
   mutable Vector factor_work_;  // Scratch for the rank-1 factor update.
-  mutable Matrix batch_at_;     // Scratch: (Y⁻¹)ᵀ for the batched widths.
   mutable Vector theta_hat_;
+  mutable Matrix inverse_t_;  // (Y⁻¹)ᵀ, the batched widths' operand.
   mutable bool theta_dirty_ = true;
+  mutable bool inverse_t_dirty_ = true;
 };
 
 }  // namespace fasea

@@ -40,18 +40,6 @@ class TsPolicy final : public LinearPolicyBase {
   Arrangement Propose(std::int64_t t, const RoundContext& round,
                       const PlatformState& state) override;
 
-  /// Batched TS over a snapshot: each user gets an independent posterior
-  /// draw θ̃ ~ N(θ̂, q² Y⁻¹) through the snapshot's Cholesky factor, on a
-  /// private stream derived from the user's ticket — deterministic given
-  /// the arrival order, untouched by the sequential stream `rng_`. Uses
-  /// the ticket as the round index in the posterior-scale formula. A
-  /// snapshot without a usable factor degrades every row to θ̃ = θ̂
-  /// exactly as Propose would.
-  void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
-                          std::span<const SnapshotRound> rows,
-                          Matrix* scores,
-                          std::span<RowResolve> resolve) const override;
-
   /// Sample-count Monte-Carlo estimate: the fraction of fresh posterior
   /// draws θ̃ ~ N(θ̂, q² Y⁻¹) whose greedy arrangement equals the action
   /// (Laplace-smoothed), on a derived per-round stream — the private
@@ -73,11 +61,26 @@ class TsPolicy final : public LinearPolicyBase {
   /// fell back to the degraded θ̃ = θ̂ proposal.
   std::int64_t num_degraded_samples() const { return num_degraded_samples_; }
 
+ protected:
+  /// Each arrival gets an independent posterior draw on a private stream
+  /// derived from its ticket — deterministic given the arrival order,
+  /// untouched by the sequential stream `rng_` — with the ticket as the
+  /// round index of the posterior scale.
+  RowResolve ScoreArrival(const LearnerView& view,
+                          const SnapshotRound& arrival,
+                          std::span<double> out) const override;
+
  private:
-  /// Fallback when Y has no usable factor (corruption / lost positive-
-  /// definiteness): propose from the posterior mean instead of aborting —
-  /// the round degrades to Exploit behaviour.
-  void DegradedSample();
+  /// TS's scoring routine: draws θ̃ ~ N(θ̂, q²·Y⁻¹) from `view` on `rng`,
+  /// with q the posterior scale at round `t`, into `theta`, then scores
+  /// every row of `contexts` with x ᵀ θ̃, masked. A view without a usable
+  /// factor (Y corrupt / not SPD) yields θ̃ = θ̂ — the round degrades to
+  /// Exploit instead of aborting — and returns false. `trace` records the
+  /// policy.sample_theta and policy.score spans of a served round.
+  bool ScorePosteriorDraw(const LearnerView& view, Pcg64& rng,
+                          std::int64_t t, const RoundContext& round,
+                          const ContextMatrix& contexts, Vector* theta,
+                          std::span<double> out, bool trace) const;
 
   TsParams params_;
   Pcg64 rng_;

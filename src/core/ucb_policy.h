@@ -39,25 +39,26 @@ class UcbPolicy final : public LinearPolicyBase {
     return 1.0;
   }
 
-  /// Batched UCB over a snapshot: per user, a GEMV for the predictions
-  /// and the width kernel against the snapshot's precomputed (Y⁻¹)ᵀ,
-  /// written straight into that user's score row, then the same
-  /// per-event combine as Propose — bit-identical to scoring each user
-  /// alone against that learner state.
-  void ScoreBatchSnapshot(const LearnerSnapshot& snapshot,
-                          std::span<const SnapshotRound> rows,
-                          Matrix* scores,
-                          std::span<RowResolve> resolve) const override;
-
   /// The upper confidence bound r̂ of one context under the current state
-  /// (exposed for tests of the bound's shrinking behaviour).
+  /// — the per-event reference the scoring tests compare rows against.
   double UpperConfidenceBound(std::span<const double> x) const;
 
+ protected:
+  RowResolve ScoreArrival(const LearnerView& view,
+                          const SnapshotRound& arrival,
+                          std::span<double> out) const override;
+
  private:
+  /// UCB's scoring routine: r̂ = x ᵀ θ̂ + α·√(xᵀY⁻¹x) under `view` for
+  /// every event of the round (one GEMV, one width-kernel call, then the
+  /// per-event combine of UpperConfidenceBound), masked. `width` is
+  /// scratch.
+  void ScoreUpperBounds(const LearnerView& view, const RoundContext& round,
+                        std::vector<double>* width,
+                        std::span<double> out) const;
+
   UcbParams params_;
-  // Per-round scratch for the batched kernels (sized lazily, reused).
-  std::vector<double> pred_;
-  std::vector<double> width_;
+  std::vector<double> width_;  // Per-round scratch, reused.
 };
 
 }  // namespace fasea

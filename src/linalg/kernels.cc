@@ -125,24 +125,16 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   GemmAccumulate(a, b, c);
 }
 
-void BatchedQuadForm(const Matrix& x, const Matrix& a, std::span<double> out,
-                     Matrix* at) {
-  FASEA_CHECK(a.rows() == x.cols() && a.cols() == x.cols());
+void BatchedQuadFormPre(const Matrix& x, const Matrix& at,
+                        std::span<double> out) {
+  const std::size_t n = x.rows(), d = x.cols();
+  FASEA_CHECK(at.rows() == d && at.cols() == d && out.size() == n);
   // G(v, i) must accumulate A(i, 0)·x₀ + A(i, 1)·x₁ + … in that order to
   // match QuadraticForm's row traversal; with B = Aᵀ the GEMM produces
   // exactly G(v, i) = Σ_k x(v, k)·B(k, i) = Σ_k x(v, k)·A(i, k) in
   // sequential k-order. (A is symmetric up to ulps here — Y⁻¹ from
   // Sherman–Morrison — but bit-compatibility cannot ride on that, hence
-  // the explicit transpose; it is O(d²) per round, noise next to the
-  // O(n·d²) GEMM.)
-  TransposeInto(a, at);
-  BatchedQuadFormPre(x, *at, out);
-}
-
-void BatchedQuadFormPre(const Matrix& x, const Matrix& at,
-                        std::span<double> out) {
-  const std::size_t n = x.rows(), d = x.cols();
-  FASEA_CHECK(at.rows() == d && at.cols() == d && out.size() == n);
+  // the explicit transpose.)
   // G rows two at a time, in a buffer owned by the call (batches score
   // concurrently against one shared snapshot, with no lock held).
   constexpr std::size_t kBlock = 2, kStackRow = 128;

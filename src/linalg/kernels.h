@@ -12,7 +12,7 @@
 //    tests assert. GEMM outputs c(i, j) are independent, so register
 //    tiles hold them in vector lanes for a whole k-loop — loaded once,
 //    stored once — each adding its k-terms in exactly the scalar order.
-//  * BatchedQuadForm computes each context row's G row x·Aᵀ with that
+//  * BatchedQuadFormPre computes each context row's G row x·Aᵀ with that
 //    kernel (the explicit transpose makes each output's accumulation
 //    order Matrix::QuadraticForm's row-major one), then the O(d)
 //    row-dot in scalar order.
@@ -61,22 +61,14 @@ void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
 /// GemmAccumulate).
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// out[v] = Row(x, v)ᵀ · a · Row(x, v) for every row of x (n × d), with
-/// `a` square d × d. Equivalent to — and bit-identical with — calling
-/// a.QuadraticForm(x.Row(v)) per row, but the O(n·d²) bulk runs through
-/// the register-tiled GEMM against aᵀ. `at` is caller scratch for the
-/// transpose (reshaped as needed); the G rows live in a buffer owned by
-/// the call.
-void BatchedQuadForm(const Matrix& x, const Matrix& a, std::span<double> out,
-                     Matrix* at);
-
-/// BatchedQuadForm with the transpose already in hand: out[v] =
-/// Row(x, v)ᵀ · atᵀ · Row(x, v) where `at` is the d × d transpose of the
-/// quadratic-form matrix. Bit-identical to BatchedQuadForm(x, atᵀ, ...) —
-/// it IS that function minus the TransposeInto — so callers that reuse
-/// one matrix across many batches (snapshots precompute (Y⁻¹)ᵀ once per
-/// feedback commit) skip the per-call transpose. A row's result does not
-/// depend on the other rows of the call.
+/// out[v] = Row(x, v)ᵀ · A · Row(x, v) for every row of x (n × d), given
+/// `at` = Aᵀ (d × d, from TransposeInto). Bit-identical to calling
+/// A.QuadraticForm(x.Row(v)) per row, but the O(n·d²) bulk runs through
+/// the register-tiled GEMM against Aᵀ; the G rows live in a buffer owned
+/// by the call. Taking the transpose as an operand lets callers keep it
+/// once per matrix version (RidgeState caches (Y⁻¹)ᵀ per learner change,
+/// snapshots once per feedback commit) instead of paying O(d²) per call.
+/// A row's result does not depend on the other rows of the call.
 void BatchedQuadFormPre(const Matrix& x, const Matrix& at,
                         std::span<double> out);
 

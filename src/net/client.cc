@@ -15,8 +15,9 @@ ShardClient::ShardClient(SimulatedNetwork* net, int node,
       options_(options),
       retry_policy_(options.retry, DeriveSeed(options.seed, "shard-client")),
       next_request_id_(DeriveSeed(options.seed, "request-id") | 1ULL) {
-  net_->RegisterHandler(
-      node_, [this](const Envelope& envelope) { OnDelivery(envelope); });
+  net_->RegisterHandler(node_, [this](Envelope envelope) {
+    OnDelivery(std::move(envelope));
+  });
 }
 
 ShardClient::~ShardClient() { net_->UnregisterNode(node_); }
@@ -31,14 +32,14 @@ std::int64_t ShardClient::retries() const {
   return retries_;
 }
 
-void ShardClient::OnDelivery(const Envelope& envelope) {
+void ShardClient::OnDelivery(Envelope envelope) {
   if (!envelope.response) return;  // Clients only consume responses.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = awaiting_.find(envelope.request_id);
   // A missing slot is a stale duplicate of a call that already finished;
   // a filled slot is a duplicate of the response itself. Keep the first.
   if (it == awaiting_.end() || it->second.has_value()) return;
-  it->second = envelope;
+  it->second = std::move(envelope);
 }
 
 StatusOr<Envelope> ShardClient::Call(MessageKind kind, int dst,

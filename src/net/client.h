@@ -73,7 +73,7 @@ class ShardClient {
   std::int64_t retries() const;
 
  private:
-  void OnDelivery(const Envelope& envelope);
+  void OnDelivery(Envelope envelope);
 
   SimulatedNetwork* const net_;
   const int node_;

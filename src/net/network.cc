@@ -250,7 +250,7 @@ int SimulatedNetwork::Pump() {
       dropped_metric_->Increment();
       continue;
     }
-    handler(decoded.value());
+    handler(std::move(decoded).value());
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.delivered;

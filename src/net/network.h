@@ -75,7 +75,9 @@ struct NetworkStats {
 
 class SimulatedNetwork {
  public:
-  using Handler = std::function<void(const Envelope&)>;
+  /// Receives each delivered envelope by value, freshly decoded, so a
+  /// handler may move its body out instead of copying it.
+  using Handler = std::function<void(Envelope)>;
 
   explicit SimulatedNetwork(std::uint64_t seed = 1);
 

@@ -11,7 +11,7 @@ ShardServer::ShardServer(SimulatedNetwork* net, int node,
                          ShardServerOptions options)
     : net_(net), node_(node), options_(options) {
   net_->RegisterHandler(node_,
-                        [this](const Envelope& request) { Dispatch(request); });
+                        [this](Envelope request) { Dispatch(request); });
 }
 
 ShardServer::~ShardServer() { net_->UnregisterNode(node_); }
@@ -34,16 +34,16 @@ std::int64_t ShardServer::requests_served() const {
 void ShardServer::Dispatch(const Envelope& request) {
   if (request.response) return;  // Servers only consume requests.
 
+  const RequestKey key{request.src, request.request_id};
   Method method;
   std::optional<Envelope> replay;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto cached = replay_cache_.find(request.request_id);
+    auto cached = replay_cache_.find(key);
     if (cached != replay_cache_.end()) {
       ++dup_suppressed_;
       dup_suppressed_metric_->Increment();
-      replay = cached->second;
-      replay->dst = request.src;
+      replay = cached->second;  // Addressed to request.src already.
     } else {
       auto it = methods_.find(request.kind);
       if (it != methods_.end()) method = it->second;
@@ -71,8 +71,8 @@ void ShardServer::Dispatch(const Envelope& request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++requests_served_;
-    replay_cache_[request.request_id] = response;
-    replay_order_.push_back(request.request_id);
+    replay_cache_[key] = response;
+    replay_order_.push_back(key);
     while (replay_order_.size() > options_.replay_cache_capacity) {
       replay_cache_.erase(replay_order_.front());
       replay_order_.pop_front();

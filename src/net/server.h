@@ -2,12 +2,14 @@
 //
 // A server owns one node id on a SimulatedNetwork and dispatches incoming
 // request envelopes to per-kind methods. Every produced response is
-// remembered in a bounded FIFO replay cache keyed by request id: when a
-// client's retry of an already-executed request arrives (its response was
-// lost, delayed, or duplicated), the cached response is re-sent without
-// re-invoking the method. This is what makes a retried RESERVE safe — the
-// seat is reserved exactly once no matter how many copies of the request
-// the network delivers.
+// remembered in a bounded FIFO replay cache keyed by (source node,
+// request id): when a client's retry of an already-executed request
+// arrives (its response was lost, delayed, or duplicated), the cached
+// response is re-sent without re-invoking the method. This is what makes
+// a retried RESERVE safe — the seat is reserved exactly once no matter
+// how many copies of the request the network delivers. Request ids are
+// unique per client only (two clients built with the same seed draw the
+// same ids), hence the source node in the key.
 //
 // Methods run inline on the Pump thread and must not issue nested
 // transport calls (the protocol is strictly client -> server).
@@ -21,6 +23,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "net/envelope.h"
@@ -63,14 +66,16 @@ class ShardServer {
  private:
   void Dispatch(const Envelope& request);
 
+  using RequestKey = std::pair<int, std::uint64_t>;  // (src, request id).
+
   SimulatedNetwork* const net_;
   const int node_;
   const ShardServerOptions options_;
 
   mutable std::mutex mu_;
   std::map<MessageKind, Method> methods_;
-  std::map<std::uint64_t, Envelope> replay_cache_;
-  std::deque<std::uint64_t> replay_order_;
+  std::map<RequestKey, Envelope> replay_cache_;
+  std::deque<RequestKey> replay_order_;
   std::int64_t dup_suppressed_ = 0;
   std::int64_t requests_served_ = 0;
 

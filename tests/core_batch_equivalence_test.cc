@@ -1,24 +1,30 @@
-// Scalar-vs-batched scoring equivalence (kernels.h contract, wired
-// through RidgeState and the policies):
-//  * RidgeState's batch APIs are bit-identical to the per-context calls.
-//  * Full simulations under ScoringMode::kScalar and kBatched produce
-//    identical trajectories on the fig1 default configuration.
+// Batched scoring against its per-event reference (kernels.h contract,
+// wired through RidgeState and the policies):
+//  * RidgeState's batch APIs are bit-identical to the per-context calls,
+//    and its cached (Y⁻¹)ᵀ never goes stale across a learner change.
+//  * Batched simulations are thread-count invariant.
 //  * A multi-user snapshot batch scores every user exactly as that user
-//    scored alone, at a learned state.
+//    scored alone, and each row equals the policy's per-event formula,
+//    at a learned state.
 //  * TS's maintained Cholesky factor tracks the fresh factorization
-//    within a drift bound, and a corrupt Y degrades the proposal instead
-//    of aborting.
+//    within a drift bound — its draws track a fresh-factor sampler's —
+//    and a corrupt Y degrades the proposal instead of aborting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "core/linear_policy_base.h"
 #include "core/policy_factory.h"
 #include "core/ts_policy.h"
 #include "core/ridge.h"
+#include "core/ucb_policy.h"
+#include "ebsn/arrangement_service.h"
 #include "linalg/cholesky.h"
+#include "linalg/mvn.h"
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
 #include "rng/pcg64.h"
@@ -56,6 +62,83 @@ TEST(RidgeBatchTest, PredictBatchBitIdenticalToPredictedReward) {
   for (std::size_t v = 0; v < contexts.rows(); ++v) {
     EXPECT_EQ(pred[v], ridge.PredictedReward(contexts.Row(v))) << v;
     EXPECT_EQ(width[v], ridge.ConfidenceWidthSq(contexts.Row(v))) << v;
+  }
+}
+
+/// Fills the cached (Y⁻¹)ᵀ, then returns whether the batched widths equal
+/// the per-row ConfidenceWidthSq after `mutate` changed the learner.
+::testing::AssertionResult WidthsFreshAfter(
+    RidgeState* ridge, const Matrix& probes,
+    const std::function<void(RidgeState*)>& mutate) {
+  std::vector<double> width(probes.rows());
+  ridge->ConfidenceWidthSqBatch(probes, width);  // Caches (Y⁻¹)ᵀ.
+  mutate(ridge);
+  ridge->ConfidenceWidthSqBatch(probes, width);
+  for (std::size_t v = 0; v < probes.rows(); ++v) {
+    if (width[v] != ridge->ConfidenceWidthSq(probes.Row(v))) {
+      return ::testing::AssertionFailure() << "stale width at row " << v;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RidgeBatchTest, CachedTransposeFollowsEveryLearnerChange) {
+  Pcg64 rng(205);
+  const std::size_t d = 6;
+  const Matrix probes = RandomContexts(9, d, rng);
+  const Matrix train = RandomContexts(40, d, rng);
+  RidgeState ridge(d, 1.0);
+  for (std::size_t i = 0; i < 20; ++i) ridge.Update(train.Row(i), 1.0);
+
+  EXPECT_TRUE(WidthsFreshAfter(&ridge, probes, [&](RidgeState* r) {
+    r->Update(train.Row(20), 0.0);
+  }));
+  EXPECT_TRUE(WidthsFreshAfter(&ridge, probes, [&](RidgeState* r) {
+    Matrix block(4, d);
+    for (std::size_t i = 0; i < 4; ++i) {
+      std::copy(train.Row(21 + i).begin(), train.Row(21 + i).end(),
+                block.Row(i).begin());
+    }
+    const std::vector<double> rewards = {1.0, 0.0, 1.0, 1.0};
+    r->ApplyBlock(block, rewards);
+  }));
+  EXPECT_TRUE(WidthsFreshAfter(&ridge, probes, [&](RidgeState* r) {
+    for (std::size_t i = 25; i < 30; ++i) r->Update(train.Row(i), 1.0);
+    r->Refactorize();
+  }));
+  // Replacing the whole state: a restored checkpoint.
+  RidgeState other(d, 1.0);
+  for (std::size_t i = 30; i < 40; ++i) other.Update(train.Row(i), 0.0);
+  EXPECT_TRUE(WidthsFreshAfter(&ridge, probes, [&](RidgeState* r) {
+    auto restored = RidgeState::FromComponents(1.0, other.Y(), other.b(),
+                                               other.num_observations());
+    ASSERT_TRUE(restored.ok());
+    *r = std::move(restored).value();
+  }));
+
+  // Through a policy: RestoreRidge, and a peer shard's delta merge.
+  const std::size_t n = 5;
+  auto instance = ProblemInstance::Create(std::vector<std::int64_t>(n, 10),
+                                          ConflictGraph(n), d);
+  ASSERT_TRUE(instance.ok());
+  UcbPolicy ucb(&*instance, UcbParams{});
+  EXPECT_TRUE(WidthsFreshAfter(&ucb.mutable_ridge(), probes,
+                               [&](RidgeState*) { ucb.RestoreRidge(other); }));
+  ArrangementService service(&*instance, PolicyKind::kUcb, PolicyParams{},
+                             /*seed=*/3);
+  const auto& policy = static_cast<const LinearPolicyBase&>(service.policy());
+  std::vector<PeerObservation> delta(3);
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    delta[i].context.assign(train.Row(i).begin(), train.Row(i).end());
+    delta[i].reward = 1.0;
+  }
+  std::vector<double> width(probes.rows());
+  policy.ridge().ConfidenceWidthSqBatch(probes, width);  // Caches (Y⁻¹)ᵀ.
+  ASSERT_TRUE(service.AbsorbPeerObservations(delta).ok());
+  policy.ridge().ConfidenceWidthSqBatch(probes, width);
+  for (std::size_t v = 0; v < probes.rows(); ++v) {
+    EXPECT_EQ(width[v], policy.ridge().ConfidenceWidthSq(probes.Row(v)))
+        << "row " << v;
   }
 }
 
@@ -122,36 +205,12 @@ void ExpectSameTrajectory(const TrajectoryResult& a,
   EXPECT_EQ(a.final_regret, b.final_regret);
 }
 
-TEST(BatchEquivalenceTest, Fig1DefaultConfigBitIdenticalScalarVsBatched) {
-  // The fig1 default configuration (|V|=500, d=20) scaled to a test-size
-  // horizon, seed-for-seed. TS rides through its own factor (maintained
-  // vs fresh, equal up to rank-1 rounding); the score gaps dominate that
-  // drift on this configuration, so even TS's arrangements match.
-  SyntheticExperiment exp;
-  exp.data.seed = 20170514;
-  exp.run_seed = 42;
-  ApplyScale(0.005, &exp.data);  // T = 500.
-  exp.compute_kendall = true;
-
-  exp.params.scalar_scoring = false;
-  const SimulationResult batched = RunSyntheticExperiment(exp);
-  exp.params.scalar_scoring = true;
-  const SimulationResult scalar = RunSyntheticExperiment(exp);
-
-  ASSERT_EQ(batched.policies.size(), scalar.policies.size());
-  ExpectSameTrajectory(batched.reference, scalar.reference);
-  for (std::size_t i = 0; i < batched.policies.size(); ++i) {
-    ExpectSameTrajectory(batched.policies[i], scalar.policies[i]);
-  }
-}
-
 TEST(BatchEquivalenceTest, BatchedRunIsThreadCountInvariant) {
   SyntheticExperiment exp;
   exp.data.num_events = 40;
   exp.data.dim = 6;
   exp.data.horizon = 300;
   exp.data.seed = 5;
-  exp.params.scalar_scoring = false;
 
   exp.threads = 1;
   const SimulationResult sequential = RunSyntheticExperiment(exp);
@@ -183,8 +242,9 @@ TEST(SnapshotBatchTest, EachUserRowMatchesScoringThatUserAloneWhenLearned) {
   // Five users with distinct contexts, one with an availability mask,
   // scored in one batch against a learned snapshot (Y⁻¹ far from I/λ):
   // each score row and resolve flag must equal what that user gets when
-  // scored alone with the same ticket. d = 13 leaves a remainder after
-  // the width kernel's 8-column tile.
+  // scored alone with the same ticket, and each row must equal the
+  // policy's per-event formula bit for bit. d = 13 leaves a remainder
+  // after the width kernel's 8-column tile.
   constexpr std::size_t kEvents = 30, kDim = 13, kUsers = 5;
   Fixture f = Fixture::Make(kEvents, kDim, 3);
   Pcg64 rng(303);
@@ -248,22 +308,53 @@ TEST(SnapshotBatchTest, EachUserRowMatchesScoringThatUserAloneWhenLearned) {
       EXPECT_GT(explored, 0u);
       EXPECT_LT(explored, kUsers);
     }
-    if (kind != PolicyKind::kUcb) continue;
-    // UCB's rows are the sequential batched Propose's scores against the
-    // ridge the snapshot was taken from.
+    // The per-event reference, against the ridge the snapshot was taken
+    // from: UpperConfidenceBound for UCB, PredictedReward for Exploit and
+    // eGreedy's exploitation rows (exploration rows only mark
+    // availability), x ᵀ θ̃ for TS.
     const RidgeState& ridge = linear->ridge();
-    std::vector<double> pred(kEvents), width(kEvents), expected(kEvents);
     for (std::size_t i = 0; i < kUsers; ++i) {
-      ridge.PredictBatch(users[i].contexts, pred);
-      ridge.ConfidenceWidthSqBatch(users[i].contexts, width);
+      SCOPED_TRACE(testing::Message() << "user " << i);
+      Vector theta;
+      if (kind == PolicyKind::kTs) {
+        // Recover this ticket's θ̃ by scoring unit contexts: x = e_j
+        // scores exactly θ̃_j.
+        RoundContext probe;
+        probe.contexts = Matrix(kEvents, kDim);
+        for (std::size_t j = 0; j < kDim; ++j) probe.contexts(j, j) = 1.0;
+        probe.user_capacity = 3;
+        const SnapshotRound probe_row{rows[i].ticket, &probe};
+        Matrix probed(1, kEvents);
+        std::vector<RowResolve> probe_resolve(1);
+        linear->ScoreBatchSnapshot(
+            *snapshot, std::span<const SnapshotRound>(&probe_row, 1),
+            &probed, probe_resolve);
+        theta = Vector(kDim);
+        for (std::size_t j = 0; j < kDim; ++j) theta[j] = probed(0, j);
+        EXPECT_FALSE(theta == ridge.ThetaHat()) << "θ̃ is not a draw";
+      }
+      std::vector<double> expected(kEvents);
       for (std::size_t v = 0; v < kEvents; ++v) {
-        expected[v] = pred[v] + params.alpha * std::sqrt(width[v]);
+        const std::span<const double> x = users[i].contexts.Row(v);
+        switch (kind) {
+          case PolicyKind::kUcb:
+            expected[v] =
+                static_cast<const UcbPolicy&>(*linear).UpperConfidenceBound(
+                    x);
+            break;
+          case PolicyKind::kTs:
+            expected[v] = Dot(x, theta.span());
+            break;
+          default:
+            expected[v] = batch_resolve[i] == RowResolve::kRandom
+                              ? 0.0
+                              : ridge.PredictedReward(x);
+        }
       }
       ApplyAvailabilityMask(users[i], expected);
       EXPECT_EQ(std::memcmp(batch.Row(i).data(), expected.data(),
                             kEvents * sizeof(double)),
-                0)
-          << "user " << i;
+                0);
     }
   }
 }
@@ -287,48 +378,38 @@ TEST(TsRobustnessTest, CorruptYDegradesBatchedProposalInsteadOfAborting) {
   EXPECT_EQ(ts.SampledTheta(), ts.ridge().ThetaHat());
 }
 
-TEST(TsRobustnessTest, CorruptYDegradesScalarProposalInsteadOfAborting) {
-  Fixture f = Fixture::Make(12, 5, 3);
-  TsPolicy ts(&f.instance, TsParams{}, Pcg64(7));
-  ts.set_scoring_mode(ScoringMode::kScalar);
-  PlatformState state(f.instance);
-  for (std::int64_t t = 1; t <= 5; ++t) {
-    const Arrangement a = ts.Propose(t, f.round, state);
-    ts.Learn(t, f.round, a, Feedback(a.size(), 1));
-  }
-  ts.mutable_ridge().CorruptYForTesting();
-  // The scalar path factorizes the (now non-SPD) Y fresh and must take
-  // the same degraded path rather than FASEA_CHECK-aborting.
-  const Arrangement a = ts.Propose(6, f.round, state);
-  EXPECT_TRUE(IsFeasibleArrangement(a, f.instance.conflicts(), state, 3));
-  EXPECT_EQ(ts.num_degraded_samples(), 1);
-  EXPECT_EQ(ts.SampledTheta(), ts.ridge().ThetaHat());
-}
-
-TEST(TsRobustnessTest, TeacherForcedScalarAndBatchedSamplesStayClose) {
-  // Identical RNG streams and identical teacher-forced trajectories: the
-  // only difference between the two policies is which factor they sample
-  // through (fresh vs maintained), so the samples must agree to within
-  // the factor drift bound.
+TEST(TsRobustnessTest, TeacherForcedSamplesTrackAFreshFactorSampler) {
+  // A test-side sampler draws from the same stream through a fresh
+  // per-round factorization of Y, the paper's O(d³) step, along the
+  // policy's own teacher-forced trajectory. The only difference is which
+  // factor the draw goes through (fresh vs maintained), so the samples
+  // must agree to within the factor drift bound.
   Fixture f = Fixture::Make(15, 6, 3);
-  TsPolicy scalar(&f.instance, TsParams{}, Pcg64(99));
-  TsPolicy batched(&f.instance, TsParams{}, Pcg64(99));
-  scalar.set_scoring_mode(ScoringMode::kScalar);
+  const TsParams params;
+  TsPolicy ts(&f.instance, params, Pcg64(99));
+  Pcg64 reference_rng(99);  // TsPolicy samples from a copy of its rng.
   PlatformState state(f.instance);
   Pcg64 feedback_rng(17);
   for (std::int64_t t = 1; t <= 80; ++t) {
-    const Arrangement a = scalar.Propose(t, f.round, state);
-    batched.Propose(t, f.round, state);
-    const Vector& st = scalar.SampledTheta();
-    const Vector& bt = batched.SampledTheta();
-    ASSERT_EQ(st.size(), bt.size());
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      EXPECT_NEAR(st[i], bt[i], 1e-9) << "t=" << t << " i=" << i;
+    auto fresh = Cholesky::Factorize(ts.ridge().Y());
+    ASSERT_TRUE(fresh.ok());
+    const double q =
+        params.r_scale *
+        std::sqrt(9.0 * static_cast<double>(ts.ridge().dim()) *
+                  std::log(static_cast<double>(t) / params.delta));
+    const Vector want = SampleMvnFromPrecision(
+        reference_rng, ts.ridge().ThetaHat(), q, fresh.value());
+    const Arrangement a = ts.Propose(t, f.round, state);
+    const Vector& got = ts.SampledTheta();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-9) << "t=" << t << " i=" << i;
     }
     Feedback fb(a.size());
-    for (auto& r : fb) r = static_cast<std::uint8_t>(UniformInt(feedback_rng, 0, 1));
-    scalar.Learn(t, f.round, a, fb);
-    batched.Learn(t, f.round, a, fb);
+    for (auto& r : fb) {
+      r = static_cast<std::uint8_t>(UniformInt(feedback_rng, 0, 1));
+    }
+    ts.Learn(t, f.round, a, fb);
   }
 }
 

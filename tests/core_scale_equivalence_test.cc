@@ -2,8 +2,8 @@
 // source + ContextCache + LazyScorer) reproduces the eager dense pipeline
 // bit for bit.
 //  * Static worlds with lazy_contexts on/off produce identical
-//    trajectories for all six policies, batched and scalar, under the
-//    exact, epoch-64 and sketch learners.
+//    trajectories for all six policies under the exact, epoch-64 and
+//    sketch learners.
 //  * The combination epoch learner + lazy contexts at epoch_length 1 is
 //    bit-identical to the exact eager run.
 //  * Lazy runs are thread-count invariant (mirrors the 1-vs-N invariance
@@ -87,12 +87,6 @@ TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerSketch) {
   SyntheticExperiment exp = StaticExperiment();
   exp.params.learner.mode = LearnerMode::kSketch;
   exp.params.learner.sketch_size = 4;
-  ExpectLazyMatchesEager(exp);
-}
-
-TEST(ScaleEquivalenceTest, LazyIsBitIdenticalToEagerStaticScalar) {
-  SyntheticExperiment exp = StaticExperiment();
-  exp.params.scalar_scoring = true;
   ExpectLazyMatchesEager(exp);
 }
 

@@ -81,17 +81,19 @@ TEST(BatchedServingTest, ModeExclusionIsSymmetric) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
-  // Driven one user at a time, the batched protocol must produce the
-  // exact arrangements and learner trajectory of the sequential one:
-  // every arrival is scored against a snapshot that equals the live
-  // state (no feedback is outstanding between rounds).
+// Driven one user at a time, the batched protocol must produce the exact
+// arrangements and learner trajectory of the sequential one: every
+// arrival is scored against a snapshot that equals the live state (no
+// feedback is outstanding between rounds), through the same scoring
+// routine live Propose runs.
+void ExpectSingleUserRunMatchesSequential(PolicyKind kind) {
+  SCOPED_TRACE(PolicyKindName(kind));
   auto world = SyntheticWorld::Create(WorldConfig());
   ASSERT_TRUE(world.ok());
-  ArrangementService sequential(&(*world)->instance(), PolicyKind::kUcb,
-                                PolicyParams{}, /*seed=*/7);
-  ArrangementService batched(&(*world)->instance(), PolicyKind::kUcb,
-                             PolicyParams{}, /*seed=*/7);
+  ArrangementService sequential(&(*world)->instance(), kind, PolicyParams{},
+                                /*seed=*/7);
+  ArrangementService batched(&(*world)->instance(), kind, PolicyParams{},
+                             /*seed=*/7);
   batched.ConfigureBatching(BatchingOptions{});
 
   Pcg64 fb_rng(DeriveSeed(7, "parity-feedback"));
@@ -112,6 +114,12 @@ TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
   }
   EXPECT_EQ(sequential.rounds_served(), batched.rounds_served());
   EXPECT_EQ(sequential.Checkpoint(), batched.Checkpoint());
+}
+
+TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
+  // UCB and Exploit draw nothing, so the two paths agree seed for seed.
+  ExpectSingleUserRunMatchesSequential(PolicyKind::kUcb);
+  ExpectSingleUserRunMatchesSequential(PolicyKind::kExploit);
 }
 
 TEST(BatchedServingTest, ConcurrentArrivalsMatchTicketOrderReplay) {

@@ -265,11 +265,7 @@ TEST(TransportServiceTest, OversizedMatrixHeaderIsRejectedBeforeAllocating) {
   AppendU32(&body, 0xffffffffu);  // cols
   ASSERT_EQ(body.size(), 32u);
   {
-    // Its own seed: request ids must not collide with the gateway's, or
-    // the shard's replay cache would answer the gateway from this call.
-    ShardClientOptions rogue_options;
-    rogue_options.seed = 99;
-    ShardClient rogue(&net, /*node=*/99, rogue_options);
+    ShardClient rogue(&net, /*node=*/99, ShardClientOptions{});
     auto response = rogue.Call(MessageKind::kServe, /*dst=*/0, /*txn=*/7,
                                /*trace_id=*/7, body);
     ASSERT_TRUE(response.ok()) << response.status().ToString();

@@ -133,7 +133,7 @@ TEST(GemmAccumulateTest, AccumulatesOntoExistingC) {
 
 TEST(BatchedQuadFormTest, BitIdenticalToQuadraticFormPerRow) {
   Pcg64 rng(105);
-  Matrix at;  // Scratch reused across shapes, like RidgeState does.
+  Matrix at;  // Reused across shapes, like RidgeState's cached (Y⁻¹)ᵀ.
   for (auto [n, d] : {std::pair<std::size_t, std::size_t>{1, 3},
                       {10, 5},
                       {33, 16},
@@ -159,7 +159,8 @@ TEST(BatchedQuadFormTest, BitIdenticalToQuadraticFormPerRow) {
     const Matrix a = RandomMatrix(d, d, rng);
     const Matrix x = RandomMatrix(n, d, rng);
     std::vector<double> out(n);
-    BatchedQuadForm(x, a, out, &at);
+    TransposeInto(a, &at);
+    BatchedQuadFormPre(x, at, out);
     for (std::size_t v = 0; v < n; ++v) {
       EXPECT_EQ(out[v], a.QuadraticForm(x.Row(v))) << "row " << v;
     }

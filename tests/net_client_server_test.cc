@@ -1,7 +1,7 @@
 // ShardClient / ShardServer: request/response over the simulated
 // network, same-request-id retries on timeout, replay-cache dedup
-// (including cached error responses), and deadline behavior on the
-// logical clock.
+// (including cached error responses, and keyed per client node), and
+// deadline behavior on the logical clock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,6 +36,32 @@ TEST(ClientServerTest, EchoRoundTrip) {
   EXPECT_EQ(response->body, "echo:ping");
   EXPECT_EQ(response->txn, 7u);
   EXPECT_EQ(executions, 1);
+}
+
+TEST(ClientServerTest, SameSeedClientsOnTwoNodesEachGetTheirOwnResponse) {
+  // Request ids are drawn from ShardClientOptions::seed, so two clients
+  // built with the default seed send the same ids. The replay cache must
+  // tell them apart by source node: the second call is a new request to
+  // execute, not a retry of the first client's.
+  SimulatedNetwork net(/*seed=*/3);
+  ShardServer server(&net, kServerNode, ShardServerOptions{});
+  int executions = 0;
+  server.Handle(MessageKind::kHealth,
+                [&executions](const Envelope& request) {
+                  ++executions;
+                  return StatusOr<std::string>("echo:" + request.body);
+                });
+  ShardClient first(&net, /*node=*/-1, ShardClientOptions{});
+  ShardClient second(&net, /*node=*/-2, ShardClientOptions{});
+  auto a = first.Call(MessageKind::kHealth, kServerNode, 1, 1, "first");
+  auto b = second.Call(MessageKind::kHealth, kServerNode, 2, 2, "second");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->body, "echo:first");
+  EXPECT_EQ(b->body, "echo:second");
+  EXPECT_EQ(b->txn, 2u);
+  EXPECT_EQ(executions, 2);
+  EXPECT_EQ(server.dup_suppressed(), 0);
 }
 
 TEST(ClientServerTest, ErrorStatusesRelayWithTheirMessage) {
