@@ -21,6 +21,13 @@
 //    routine writes (through ScoreBatchSnapshot) before every round of
 //    the serving traffic. Arrangements alone would not show a change
 //    that keeps every score's rank, such as a one-ulp shift.
+//  * sharded/<policy>/{wal,decisions}: the per-shard feedback WALs and
+//    decision logs of the `fasea_cli stats --decision_log --shards=4`
+//    drive loop at its defaults, one per PolicyKind.
+//  * chaos/<cell>: the report text plus every WAL file of a deterministic
+//    chaos cell (`fasea_cli chaos --cycles=3 --rounds=150 --seed=11`):
+//    the unsharded harness at --threads=1 under four fault schedules, and
+//    the 4-shard harness under each kill mode and three schedules.
 //
 // The table pins the default portable build. Under FASEA_NATIVE_ARCH
 // (-march=native) the bits legitimately differ (DESIGN.md §9), so there
@@ -37,6 +44,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -48,6 +56,8 @@
 #include "core/policy_factory.h"
 #include "datagen/synthetic.h"
 #include "ebsn/arrangement_service.h"
+#include "ebsn/chaos_harness.h"
+#include "ebsn/sharded_service.h"
 #include "io/crc32c.h"
 #include "io/env.h"
 #include "io/wal.h"
@@ -96,37 +106,40 @@ Digests Fig1Digests(int threads) {
   return digests;
 }
 
-// Every file of `dir`, in sorted name order, name and bytes chained into
-// one CRC.
-std::uint32_t DirDigest(const std::string& dir) {
-  Env* env = Env::Default();
-  auto names = env->ListDir(dir);
-  EXPECT_TRUE(names.ok()) << names.status().ToString();
-  if (!names.ok()) return 0;
-  std::vector<std::string> sorted = *names;
-  std::sort(sorted.begin(), sorted.end());
+// Every file under `root` whose relative path `keep` accepts, in sorted
+// relative-path order, path and bytes chained into one CRC.
+template <typename Keep>
+std::uint32_t TreeDigest(const std::string& root, Keep keep) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> paths;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string path = fs::relative(entry.path(), root).string();
+    if (keep(path)) paths.push_back(path);
+  }
+  std::sort(paths.begin(), paths.end());
   std::uint32_t crc = 0;
-  for (const std::string& name : sorted) {
-    auto bytes = env->ReadFileToString(JoinPath(dir, name));
+  for (const std::string& path : paths) {
+    auto bytes = Env::Default()->ReadFileToString(JoinPath(root, path));
     EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
     if (!bytes.ok()) continue;
-    crc = Crc32c(name, crc);
+    crc = Crc32c(path, crc);
     crc = Crc32c(*bytes, crc);
   }
   return crc;
 }
 
+std::uint32_t DirDigest(const std::string& dir) {
+  return TreeDigest(dir, [](const std::string&) { return true; });
+}
+
+// An empty `dir` (its decision-log sibling removed too) under the test's
+// scratch directory.
 std::string FreshDir(const std::string& name) {
-  Env* env = Env::Default();
   const std::string dir = ::testing::TempDir() + "fasea_golden_" + name;
-  for (const std::string& sub : {dir, DecisionLogDirName(dir)}) {
-    (void)env->CreateDir(sub);
-    if (auto names = env->ListDir(sub); names.ok()) {
-      for (const std::string& file : *names) {
-        (void)env->DeleteFile(JoinPath(sub, file));
-      }
-    }
-  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(DecisionLogDirName(dir));
+  std::filesystem::create_directories(dir);
   return dir;
 }
 
@@ -226,6 +239,103 @@ Digests ServeDigests() {
   return digests;
 }
 
+// The `fasea_cli stats --decision_log --shards=4` drive loop at the
+// command's defaults (|V| = 100, d = 10, 1000 rounds, seed 7), in process.
+void RecordSharded(PolicyKind kind, const std::string& dir) {
+  SyntheticConfig config;
+  config.num_events = 100;
+  config.dim = 10;
+  config.horizon = 1000;
+  config.seed = 7;
+  auto world = SyntheticWorld::Create(config);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  Env* env = Env::Default();
+  ShardedOptions options;
+  options.num_shards = 4;
+  options.kind = kind;
+  options.seed = config.seed;
+  ShardedArrangementService service(&(*world)->instance(), options);
+  ASSERT_TRUE(service.AttachWals(env, dir, Unsynced()).ok());
+  DecisionLogHeader header;
+  header.num_events = config.num_events;
+  header.dim = config.dim;
+  header.horizon = config.horizon;
+  header.workload_seed = config.seed;
+  header.policy_id = std::string(PolicyKindName(kind));
+  header.policy_seed = config.seed;
+  ASSERT_TRUE(service.AttachDecisionLogs(env, dir, header, Unsynced()).ok());
+  Pcg64 feedback_rng(config.seed, /*stream=*/99);
+  for (std::int64_t t = 1; t <= config.horizon; ++t) {
+    const RoundContext& round = (*world)->provider().NextRound(t);
+    auto served =
+        service.ServeUser(round.user_id, round.user_capacity, round.contexts);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    const Feedback feedback = (*world)->feedback().Sample(
+        t, round.contexts, served->arrangement, feedback_rng);
+    ASSERT_TRUE(service.SubmitFeedback(served->txn, feedback).ok());
+  }
+  ASSERT_TRUE(service.CloseDecisionLogs().ok());
+}
+
+Digests ShardedDigests() {
+  Digests digests;
+  for (PolicyKind kind : kAllKinds) {
+    const std::string name(PolicyKindName(kind));
+    const std::string dir = FreshDir("sharded_" + name);
+    RecordSharded(kind, dir);
+    const auto is_decisions = [](const std::string& path) {
+      return path.find("-decisions/") != std::string::npos;
+    };
+    digests["sharded/" + name + "/wal"] = TreeDigest(
+        dir, [&](const std::string& path) { return !is_decisions(path); });
+    digests["sharded/" + name + "/decisions"] = TreeDigest(dir, is_decisions);
+  }
+  return digests;
+}
+
+// The report text chained with every file the cell left under `dir`.
+template <typename Report>
+std::uint32_t ChaosDigest(const StatusOr<Report>& report,
+                          const std::string& dir) {
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return 0;
+  EXPECT_TRUE(report->ok) << report->ToString();
+  return Crc32c(report->ToString(), DirDigest(dir));
+}
+
+Digests ChaosDigests() {
+  constexpr std::uint64_t kChaosSeed = 11;
+  Digests digests;
+  for (const char* schedule :
+       {"clean", "dying-disk", "torn-tail", "flaky-appends"}) {
+    ChaosOptions options;
+    options.schedule = NamedFaultSchedule(schedule).value();
+    options.threads = 1;
+    options.rounds_per_cycle = 150;
+    options.cycles = 3;
+    options.seed = kChaosSeed;
+    options.wal_dir = FreshDir(std::string("chaos_") + schedule);
+    digests[std::string("chaos/unsharded/") + schedule] =
+        ChaosDigest(RunChaos(options), options.wal_dir);
+  }
+  for (std::string_view mode : ShardKillModeNames()) {
+    for (const char* schedule : {"clean", "dying-disk", "torn-tail"}) {
+      const std::string cell = std::string(mode) + "/" + schedule;
+      ShardedChaosOptions options;
+      options.schedule = NamedFaultSchedule(schedule).value();
+      options.shards = 4;
+      options.kill_mode = ParseKillMode(mode).value();
+      options.rounds_per_cycle = 150;
+      options.cycles = 3;
+      options.seed = kChaosSeed;
+      options.wal_dir = FreshDir("chaos_" + std::string(mode) + "_" + schedule);
+      digests["chaos/4shards/" + cell] =
+          ChaosDigest(RunShardedChaos(options), options.wal_dir);
+    }
+  }
+  return digests;
+}
+
 Digests ScoreDigests() {
   const SyntheticConfig config = ServeConfig();
   auto world = SyntheticWorld::Create(config);
@@ -319,6 +429,8 @@ TEST(GoldenTest, SeededOutputsMatchTheCommittedTable) {
 
   Digests computed = fig1_single;
   computed.merge(ServeDigests());
+  computed.merge(ShardedDigests());
+  computed.merge(ChaosDigests());
   computed.merge(ScoreDigests());
   computed.merge(LazyDigests());
 
