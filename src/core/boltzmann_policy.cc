@@ -8,10 +8,10 @@
 namespace fasea {
 
 BoltzmannPolicy::BoltzmannPolicy(const ProblemInstance* instance,
-                                 const BoltzmannParams& params, Pcg64 rng)
-    : LinearPolicyBase(instance, params.lambda, params.learner),
-      params_(params),
-      rng_(rng) {
+                                 const BoltzmannParams& params,
+                                 std::uint64_t salt)
+    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
+      params_(params) {
   FASEA_CHECK(params.temperature > 0.0);
 }
 
@@ -60,6 +60,7 @@ Arrangement BoltzmannPolicy::Propose(std::int64_t t,
   chosen_.Reset();
 
   const std::int64_t sample_start = SpanStart();
+  Pcg64 rng = KeyedEngine(salt_, "softmax", t);
   Arrangement result;
   result.reserve(static_cast<std::size_t>(round.user_capacity));
   while (static_cast<std::int64_t>(result.size()) < round.user_capacity) {
@@ -67,7 +68,7 @@ Arrangement BoltzmannPolicy::Propose(std::int64_t t,
     if (feasible_.empty()) break;
     // Inverse-CDF draw over the feasible weights; the final clamp absorbs
     // float round-off in the cumulative sum.
-    const double u = rng_.NextDouble() * total;
+    const double u = rng.NextDouble() * total;
     double cumulative = 0.0;
     std::size_t pick = feasible_.size() - 1;
     for (std::size_t i = 0; i < feasible_.size(); ++i) {

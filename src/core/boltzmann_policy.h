@@ -12,6 +12,7 @@
 // (available, non-full, non-conflicting with the prefix, not yet chosen),
 // until the user capacity is reached or nothing remains feasible. τ → 0
 // approaches Exploit's greedy; large τ approaches the Random baseline.
+// Round t's draws come from KeyedEngine(salt, "softmax", t).
 //
 // PropensityOf is exact — the product of the per-position conditional
 // softmax probabilities — no Monte-Carlo estimate involved.
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "core/linear_policy_base.h"
-#include "rng/pcg64.h"
 
 namespace fasea {
 
@@ -33,10 +33,10 @@ struct BoltzmannParams {
 
 class BoltzmannPolicy final : public LinearPolicyBase {
  public:
-  /// `rng` drives the per-position softmax draws; `instance` must outlive
+  /// `salt` keys the per-position softmax draws; `instance` must outlive
   /// the policy.
   BoltzmannPolicy(const ProblemInstance* instance,
-                  const BoltzmannParams& params, Pcg64 rng);
+                  const BoltzmannParams& params, std::uint64_t salt);
 
   std::string_view name() const override { return "Boltzmann"; }
 
@@ -63,7 +63,6 @@ class BoltzmannPolicy final : public LinearPolicyBase {
                          const PlatformState& state);
 
   BoltzmannParams params_;
-  Pcg64 rng_;
   // Per-position scratch: membership + conflict state of the prefix.
   std::vector<std::uint8_t> picked_;
   EventBitset chosen_;

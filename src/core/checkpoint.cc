@@ -10,7 +10,7 @@ namespace fasea {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x46534541;  // "FSEA".
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2 added the temperature τ.
 
 constexpr const char* kTruncated = "checkpoint: truncated data";
 
@@ -31,6 +31,7 @@ std::string SaveCheckpoint(PolicyKind kind, const PolicyParams& params,
   AppendDouble(&out, params.alpha);
   AppendDouble(&out, params.delta);
   AppendDouble(&out, params.epsilon);
+  AppendDouble(&out, params.temperature);
   AppendU64(&out, d);
   AppendU64(&out, static_cast<std::uint64_t>(ridge.num_observations()));
   const Matrix& y = ridge.Y();
@@ -56,7 +57,7 @@ StatusOr<PolicyCheckpoint> ParseCheckpoint(std::string_view data) {
   }
   auto kind_raw = reader.ReadU32();
   if (!kind_raw.ok()) return kind_raw.status();
-  if (*kind_raw > static_cast<std::uint32_t>(PolicyKind::kRandom)) {
+  if (*kind_raw > static_cast<std::uint32_t>(PolicyKind::kBoltzmann)) {
     return InvalidArgumentError("checkpoint: unknown policy kind");
   }
   auto reserved = reader.ReadU32();
@@ -79,6 +80,7 @@ StatusOr<PolicyCheckpoint> ParseCheckpoint(std::string_view data) {
   if (Status st = read_double(&cp.params.alpha); !st.ok()) return st;
   if (Status st = read_double(&cp.params.delta); !st.ok()) return st;
   if (Status st = read_double(&cp.params.epsilon); !st.ok()) return st;
+  if (Status st = read_double(&cp.params.temperature); !st.ok()) return st;
   // Mirror the policy constructors' preconditions: a corrupted parameter
   // must surface as a Status here, not as an abort inside MakePolicy.
   if (cp.params.lambda <= 0.0) {
@@ -92,6 +94,9 @@ StatusOr<PolicyCheckpoint> ParseCheckpoint(std::string_view data) {
   }
   if (cp.params.epsilon < 0.0 || cp.params.epsilon > 1.0) {
     return InvalidArgumentError("checkpoint: epsilon must be in [0, 1]");
+  }
+  if (cp.params.temperature <= 0.0) {
+    return InvalidArgumentError("checkpoint: temperature must be positive");
   }
 
   auto dim = reader.ReadU64();

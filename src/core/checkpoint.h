@@ -1,11 +1,11 @@
 // Policy checkpointing: serialize a ridge learner's state so a production
 // platform can stop and resume learning across process restarts.
 //
-// What is saved: the policy kind, its parameters (λ, α, δ, ε), the exact
-// Gram matrix Y, the reward vector b, and the observation count — the
-// complete sufficient statistics of every ridge learner. What is NOT
-// saved: the exploration RNG position (TS's sampler and eGreedy's coin
-// restart from a caller-provided seed; their learning state is intact).
+// What is saved: the policy kind, its parameters (λ, α, δ, ε, τ), the
+// exact Gram matrix Y, the reward vector b, and the observation count —
+// the complete sufficient statistics of every ridge learner. A stochastic
+// policy keeps no RNG state (its draws are keyed by round), so a policy
+// restored with the same seed proposes exactly as the original.
 //
 // Format: a little-endian binary blob with magic/version header; the
 // payload is independent of platform word size. Load validates magic,
@@ -31,8 +31,8 @@ struct PolicyCheckpoint {
   std::int64_t num_observations = 0;
 };
 
-/// Serializes a ridge learner (UCB, TS, eGreedy, Exploit). `kind` and
-/// `params` must be the values the policy was built with.
+/// Serializes a ridge learner (UCB, TS, eGreedy, Exploit, Boltzmann).
+/// `kind` and `params` must be the values the policy was built with.
 std::string SaveCheckpoint(PolicyKind kind, const PolicyParams& params,
                            const LinearPolicyBase& policy);
 
@@ -40,7 +40,7 @@ std::string SaveCheckpoint(PolicyKind kind, const PolicyParams& params,
 StatusOr<PolicyCheckpoint> ParseCheckpoint(std::string_view data);
 
 /// Rebuilds a policy from a checkpoint: constructs it via MakePolicy with
-/// `seed` for the (non-persisted) exploration stream, then restores the
+/// `seed` (which derives a stochastic policy's salt), then restores the
 /// learning state. Fails if the checkpoint's dimension does not match the
 /// instance or the kind is not a ridge learner.
 StatusOr<std::unique_ptr<Policy>> RestorePolicy(

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "rng/distributions.h"
-#include "rng/seed.h"
 
 namespace fasea {
 
@@ -20,27 +18,24 @@ void ExplorationRow(const RoundContext& round, std::span<double> out) {
 }  // namespace
 
 EpsGreedyPolicy::EpsGreedyPolicy(const ProblemInstance* instance,
-                                 const EpsGreedyParams& params, Pcg64 rng)
-    : LinearPolicyBase(instance, params.lambda, params.learner),
-      params_(params),
-      coin_rng_(rng),
-      random_oracle_(Pcg64(rng.Next(), HashTag("egreedy-oracle"))),
-      propensity_salt_(DeriveSeed(rng.Next(), "egreedy-propensity")),
-      batch_salt_(DeriveSeed(rng.Next(), "egreedy-batch")) {
+                                 const EpsGreedyParams& params,
+                                 std::uint64_t salt)
+    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
+      params_(params) {
   FASEA_CHECK(params.epsilon >= 0.0 && params.epsilon <= 1.0);
+}
+
+bool EpsGreedyPolicy::Explores(std::int64_t round) const {
+  return params_.epsilon > 0.0 &&
+         KeyedEngine(salt_, "coin", round).NextDouble() <= params_.epsilon;
 }
 
 RowResolve EpsGreedyPolicy::ScoreArrival(const LearnerView& view,
                                          const SnapshotRound& arrival,
                                          std::span<double> out) const {
-  if (params_.epsilon > 0.0) {
-    Pcg64 coin(DeriveSeed(batch_salt_, "coin",
-                          static_cast<std::uint64_t>(arrival.ticket)),
-               HashTag("egreedy-batch-coin"));
-    if (coin.NextDouble() <= params_.epsilon) {
-      ExplorationRow(*arrival.round, out);
-      return RowResolve::kRandom;
-    }
+  if (Explores(arrival.ticket)) {
+    ExplorationRow(*arrival.round, out);
+    return RowResolve::kRandom;
   }
   ScoreMean(view, *arrival.round, arrival.round->contexts, out);
   return RowResolve::kGreedy;
@@ -55,12 +50,11 @@ Arrangement EpsGreedyPolicy::Propose(std::int64_t t,
   const std::size_t n = round.IsLazy() ? instance_->num_events()
                                        : round.contexts.rows();
   std::span<double> scores = Scores(n);
-  if (params_.epsilon > 0.0 &&
-      coin_rng_.NextDouble() <= params_.epsilon) {
+  if (Explores(t)) {
     // Exploration: a random feasible arrangement.
     ExplorationRow(round, scores);
     const std::int64_t random_start = SpanStart();
-    Arrangement arrangement = random_oracle_.Select(
+    Arrangement arrangement = ExplorationOracle(t).Select(
         scores, conflicts(), state, round.user_capacity);
     RecordSpanSince("oracle.random", t, random_start);
     return arrangement;
@@ -102,10 +96,9 @@ double EpsGreedyPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
     // exploration branch of Propose hands its RandomOracle.
     ExplorationRow(round, scores);
     p += params_.epsilon *
-         McRandomArrangementMass(
-             DeriveSeed(propensity_salt_, "mc",
-                        static_cast<std::uint64_t>(t)),
-             scores, conflicts(), state, round.user_capacity, arrangement);
+         McRandomArrangementMass(KeyedEngine(salt_, "propensity", t), scores,
+                                 conflicts(), state, round.user_capacity,
+                                 arrangement);
   }
   return p;
 }
@@ -125,8 +118,8 @@ std::unique_ptr<EpsGreedyPolicy> MakeExploitPolicy(
   params.lambda = lambda;
   params.epsilon = 0.0;
   params.learner = learner;
-  // ε = 0 never consults the rng; any seed works.
-  return std::make_unique<EpsGreedyPolicy>(instance, params, Pcg64(0));
+  // ε = 0 never draws; the salt is unused.
+  return std::make_unique<EpsGreedyPolicy>(instance, params, /*salt=*/0);
 }
 
 }  // namespace fasea

@@ -14,8 +14,6 @@
 #include <memory>
 
 #include "core/linear_policy_base.h"
-#include "oracle/random_oracle.h"
-#include "rng/pcg64.h"
 
 namespace fasea {
 
@@ -27,9 +25,10 @@ struct EpsGreedyParams {
 
 class EpsGreedyPolicy : public LinearPolicyBase {
  public:
-  /// `rng` drives both the ε coin flips and the random arrangements.
+  /// `salt` keys the ε coin of round t, KeyedEngine(salt, "coin", t), and
+  /// its random arrangement, ExplorationOracle(t).
   EpsGreedyPolicy(const ProblemInstance* instance,
-                  const EpsGreedyParams& params, Pcg64 rng);
+                  const EpsGreedyParams& params, std::uint64_t salt);
 
   std::string_view name() const override {
     return params_.epsilon == 0.0 ? "Exploit" : "eGreedy";
@@ -39,8 +38,7 @@ class EpsGreedyPolicy : public LinearPolicyBase {
                       const PlatformState& state) override;
 
   /// ε-mixture: (1−ε)·𝟙[A = greedy(θ̂)] + ε·P_random(A), the random mass
-  /// Monte-Carlo estimated on a derived per-round stream (never the coin
-  /// or oracle streams, so serving draws are untouched).
+  /// Monte-Carlo estimated on round t's "propensity" stream.
   double PropensityOf(std::int64_t t, const RoundContext& round,
                       const PlatformState& state,
                       const Arrangement& arrangement) override;
@@ -52,25 +50,19 @@ class EpsGreedyPolicy : public LinearPolicyBase {
                           const Arrangement& served) override;
 
  protected:
-  /// Each arrival's ε coin comes from a private stream derived from its
-  /// ticket (the sequential coin stream is untouched). Exploitation rows
-  /// carry the mean row; exploration rows are marked kRandom with
-  /// availability-only scores — the serving layer resolves them through
-  /// a ticket-seeded RandomOracle.
+  /// The ε coin Propose flips at t = ticket. Exploitation rows carry the
+  /// mean row; exploration rows are marked kRandom with availability-only
+  /// scores — the serving layer resolves them through
+  /// ExplorationOracle(ticket), as Propose does.
   RowResolve ScoreArrival(const LearnerView& view,
                           const SnapshotRound& arrival,
                           std::span<double> out) const override;
 
  private:
+  /// Round `round`'s ε coin: true when it explores.
+  bool Explores(std::int64_t round) const;
+
   EpsGreedyParams params_;
-  Pcg64 coin_rng_;
-  RandomOracle random_oracle_;
-  std::uint64_t propensity_salt_;
-  // Declared (and thus initialized) after propensity_salt_: its extra
-  // draw from the constructor's rng parameter happens after every
-  // pre-existing stream was derived, so adding it changed no sequential
-  // behavior.
-  std::uint64_t batch_salt_;
 };
 
 /// The pure-exploitation special case (ε = 0); needs no randomness.

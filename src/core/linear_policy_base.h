@@ -25,22 +25,24 @@
 #include "model/instance.h"
 #include "obs/metrics.h"
 #include "oracle/greedy.h"
+#include "oracle/random_oracle.h"
+#include "rng/seed.h"
 
 namespace fasea {
 
 /// One user of a cross-user batch handed to ScoreBatchSnapshot. `ticket`
-/// is the arrival-order id the serving layer assigned — stochastic
-/// policies derive their per-user randomness from it, so a batch's
-/// scores depend only on (snapshot, tickets, rounds), never on timing.
+/// is the arrival-order id the serving layer assigned — the serve-time
+/// round id stochastic policies key their draws by, so a batch's scores
+/// depend only on (snapshot, tickets, rounds), never on timing.
 struct SnapshotRound {
   std::int64_t ticket = 0;
   const RoundContext* round = nullptr;
 };
 
 /// How the serving layer must turn one scored row into an arrangement:
-/// greedily over the row's scores (the normal case), or via a
-/// ticket-seeded RandomOracle (an eGreedy exploration row — its "scores"
-/// are just the availability mask).
+/// greedily over the row's scores (the normal case), or via the policy's
+/// ExplorationOracle for the ticket (an eGreedy exploration row — its
+/// "scores" are just the availability mask).
 enum class RowResolve { kGreedy, kRandom };
 
 class LinearPolicyBase : public Policy {
@@ -87,6 +89,13 @@ class LinearPolicyBase : public Policy {
   /// serializes Learn — the capture itself reads the live ridge.
   std::shared_ptr<const LearnerSnapshot> MakeSnapshot() const;
 
+  /// The oracle that resolves an exploration row (RowResolve::kRandom) of
+  /// serve-time round `round`, keyed by (salt, "explore", round): the one
+  /// eGreedy's Propose explores through at t = round.
+  RandomOracle ExplorationOracle(std::int64_t round) const {
+    return RandomOracle(KeyedEngine(salt_, "explore", round));
+  }
+
   /// Scores every batch row against `snapshot` — no live learner state is
   /// read, so this runs with no lock held. `scores` must be pre-shaped
   /// rows.size() × |V|; `resolve` (same length) tells the caller how to
@@ -101,10 +110,13 @@ class LinearPolicyBase : public Policy {
 
  protected:
   /// `instance` must outlive the policy. `learner` selects the
-  /// maintenance mode (exact / epoch / sketch; learner_config.h).
+  /// maintenance mode (exact / epoch / sketch; learner_config.h). `salt`
+  /// keys a stochastic policy's draws; deterministic ones leave it 0.
   LinearPolicyBase(const ProblemInstance* instance, double lambda,
-                   const LearnerConfig& learner = {})
-      : instance_(instance), ridge_(instance->dim(), lambda, learner) {
+                   const LearnerConfig& learner = {}, std::uint64_t salt = 0)
+      : instance_(instance),
+        ridge_(instance->dim(), lambda, learner),
+        salt_(salt) {
     FASEA_CHECK(instance != nullptr);
   }
 
@@ -130,9 +142,8 @@ class LinearPolicyBase : public Policy {
   const ConflictGraph& conflicts() const { return instance_->conflicts(); }
 
   /// One arrival's score row against `view` through the policy's scoring
-  /// routine, its randomness (TS's draw, eGreedy's coin) derived from the
-  /// ticket — so the row depends only on (view, ticket, round), never on
-  /// timing. The default scores the mean row.
+  /// routine, with the draws (TS's θ̃, eGreedy's coin) Propose makes at
+  /// t = ticket. The default scores the mean row.
   virtual RowResolve ScoreArrival(const LearnerView& view,
                                   const SnapshotRound& arrival,
                                   std::span<double> out) const;
@@ -169,6 +180,7 @@ class LinearPolicyBase : public Policy {
   const ProblemInstance* instance_;
   EpochRidgeState ridge_;
   GreedyOracle greedy_;
+  const std::uint64_t salt_;
 
  private:
   std::vector<double> scores_;

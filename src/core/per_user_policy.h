@@ -4,7 +4,8 @@
 // the platform information (capacities, conflicts) stays shared: an
 // accepted event consumes a seat for everyone. The bank lazily creates a
 // per-user inner policy via a user-supplied factory and routes each round
-// by round.user_id.
+// by round.user_id. The bank draws nothing itself; each inner policy keys
+// its draws by its own salt and t.
 #ifndef FASEA_CORE_PER_USER_POLICY_H_
 #define FASEA_CORE_PER_USER_POLICY_H_
 
@@ -40,8 +41,7 @@ class PerUserPolicyBank final : public Policy {
   }
 
   /// The propensity is the routed user's policy's own: the base point
-  /// mass would re-run Propose, which draws from a stochastic inner
-  /// policy's serving streams.
+  /// mass would be wrong for a stochastic inner policy.
   double PropensityOf(std::int64_t t, const RoundContext& round,
                       const PlatformState& state,
                       const Arrangement& arrangement) override {

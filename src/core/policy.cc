@@ -1,15 +1,14 @@
 #include "core/policy.h"
 
 #include "oracle/random_oracle.h"
-#include "rng/seed.h"
 
 namespace fasea {
 
 double Policy::PropensityOf(std::int64_t t, const RoundContext& round,
                             const PlatformState& state,
                             const Arrangement& arrangement) {
-  // Point mass: valid only because the deterministic policies' Propose
-  // consumes no randomness — re-proposing is a pure read of learner state.
+  // Point mass: valid only for the deterministic policies, whose Propose
+  // draws nothing.
   return Propose(t, round, state) == arrangement ? 1.0 : 0.0;
 }
 
@@ -19,13 +18,12 @@ double Policy::ServedPropensity(std::int64_t t, const RoundContext& round,
   return PropensityOf(t, round, state, served);
 }
 
-double McRandomArrangementMass(std::uint64_t seed,
-                               std::span<const double> scores,
+double McRandomArrangementMass(Pcg64 rng, std::span<const double> scores,
                                const ConflictGraph& conflicts,
                                const PlatformState& state,
                                std::int64_t user_capacity,
                                const Arrangement& arrangement) {
-  RandomOracle oracle(Pcg64(seed, HashTag("propensity-mc")));
+  RandomOracle oracle(rng);
   int hits = 0;
   for (int k = 0; k < kPropensityMcDraws; ++k) {
     if (oracle.Select(scores, conflicts, state, user_capacity) ==

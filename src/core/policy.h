@@ -17,6 +17,7 @@
 #include "model/context.h"
 #include "model/platform_state.h"
 #include "model/types.h"
+#include "rng/pcg64.h"
 
 namespace fasea {
 
@@ -37,6 +38,11 @@ class Policy {
   /// the three constraints of Definition 3 (user capacity, event
   /// capacities in `state`, no conflicting pair) plus the round's
   /// availability mask.
+  ///
+  /// Randomness: a policy keeps no RNG state between calls. A stochastic
+  /// one keys every draw by (salt, purpose, t) through KeyedEngine
+  /// (rng/seed.h), so asked twice with nothing learned in between Propose
+  /// returns the same arrangement, and no other call shifts its draws.
   virtual Arrangement Propose(std::int64_t t, const RoundContext& round,
                               const PlatformState& state) = 0;
 
@@ -66,12 +72,12 @@ class Policy {
   /// propensity the decision log records and the IPS/DR replay estimators
   /// divide by.
   ///
-  /// Contract: the value must be a pure function of (learner state, round,
-  /// platform state, arrangement) — it must NOT consume any of the
-  /// policy's serving RNG streams, so recording it at serve time and
-  /// recomputing it during offline replay (after feeding the same Learn
-  /// sequence) yield the identical double. Stochastic policies derive
-  /// private per-round MC streams from a construction-time salt instead.
+  /// Contract: the value must be a pure function of (learner state, t,
+  /// round, platform state, arrangement), so recording it at serve time
+  /// and recomputing it during offline replay (after feeding the same
+  /// Learn sequence) yield the identical double. Stochastic policies draw
+  /// their Monte-Carlo estimates from round t's "propensity" stream,
+  /// which no serving draw reads.
   ///
   /// The default implementation treats the policy as deterministic — a
   /// point mass on whatever Propose returns — which is exact for UCB,
@@ -85,7 +91,7 @@ class Policy {
   /// that Propose just returned for these same (t, round, state), with
   /// nothing learned in between. The serving layer records it in the
   /// decision log. Same contract as PropensityOf: it must return the
-  /// same double and consume no serving RNG stream.
+  /// same double.
   ///
   /// The default calls PropensityOf, so stochastic policies stay exact.
   /// A point-mass policy (UCB, Exploit, OPT) knows that what it just
@@ -99,9 +105,9 @@ class Policy {
 /// Shared by the eGreedy and Random overrides: Laplace-smoothed Monte-Carlo
 /// estimate of the probability that a RandomOracle (uniform visit order +
 /// feasibility filter) emits exactly `arrangement`, in order. `scores` only
-/// carry the availability mask (kExcludedScore = skip). Deterministic given
-/// `seed`.
-double McRandomArrangementMass(std::uint64_t seed,
+/// carry the availability mask (kExcludedScore = skip). The draws come
+/// from `rng`.
+double McRandomArrangementMass(Pcg64 rng,
                                std::span<const double> scores,
                                const ConflictGraph& conflicts,
                                const PlatformState& state,

@@ -47,7 +47,7 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.delta = params.delta;
       p.learner = params.learner;
       auto policy =
-          std::make_unique<TsPolicy>(instance, p, MakeEngine(seed, "ts"));
+          std::make_unique<TsPolicy>(instance, p, DeriveSeed(seed, "ts"));
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
@@ -57,7 +57,7 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
       p.epsilon = params.epsilon;
       p.learner = params.learner;
       auto policy = std::make_unique<EpsGreedyPolicy>(
-          instance, p, MakeEngine(seed, "egreedy"));
+          instance, p, DeriveSeed(seed, "egreedy"));
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }
@@ -69,14 +69,14 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
     }
     case PolicyKind::kRandom:
       return std::make_unique<RandomPolicy>(instance,
-                                            MakeEngine(seed, "random"));
+                                            DeriveSeed(seed, "random"));
     case PolicyKind::kBoltzmann: {
       BoltzmannParams p;
       p.lambda = params.lambda;
       p.temperature = params.temperature;
       p.learner = params.learner;
       auto policy = std::make_unique<BoltzmannPolicy>(
-          instance, p, MakeEngine(seed, "boltzmann"));
+          instance, p, DeriveSeed(seed, "boltzmann"));
       policy->set_cache_budget(params.cache_budget);
       return policy;
     }

@@ -38,9 +38,10 @@ struct PolicyParams {
   std::size_t cache_budget = 0;
 };
 
-/// Builds one policy. `seed` feeds the policy's private randomness
-/// (TS sampling, eGreedy coin, Random order); deterministic kinds ignore
-/// it. `instance` must outlive the policy.
+/// Builds one policy. A stochastic kind's salt is DeriveSeed(seed, kind
+/// tag); it keys the policy's draws (TS sampling, eGreedy coin, Random
+/// order, Boltzmann softmax). Deterministic kinds ignore `seed`.
+/// `instance` must outlive the policy.
 std::unique_ptr<Policy> MakePolicy(PolicyKind kind,
                                    const ProblemInstance* instance,
                                    const PolicyParams& params,

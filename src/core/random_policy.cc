@@ -2,41 +2,40 @@
 
 #include <algorithm>
 
+#include "oracle/random_oracle.h"
 #include "rng/seed.h"
 
 namespace fasea {
 
-RandomPolicy::RandomPolicy(const ProblemInstance* instance, Pcg64 rng)
-    : instance_(instance),
-      oracle_(rng),
-      propensity_salt_(DeriveSeed(rng.Next(), "random-propensity")) {
+RandomPolicy::RandomPolicy(const ProblemInstance* instance,
+                           std::uint64_t salt)
+    : instance_(instance), salt_(salt) {
   FASEA_CHECK(instance != nullptr);
 }
 
-Arrangement RandomPolicy::Propose(std::int64_t /*t*/,
-                                  const RoundContext& round,
-                                  const PlatformState& state) {
+void RandomPolicy::MaskRow(const RoundContext& round) {
   // Context-free: only the availability mask matters, so lazy rounds
   // (empty contexts) still score the full event set.
   scores_.resize(round.IsLazy() ? instance_->num_events()
                                 : round.contexts.rows());
   std::fill(scores_.begin(), scores_.end(), 0.0);
   ApplyAvailabilityMask(round, scores_);
-  return oracle_.Select(scores_, instance_->conflicts(), state,
-                        round.user_capacity);
+}
+
+Arrangement RandomPolicy::Propose(std::int64_t t, const RoundContext& round,
+                                  const PlatformState& state) {
+  MaskRow(round);
+  return RandomOracle(KeyedEngine(salt_, "order", t))
+      .Select(scores_, instance_->conflicts(), state, round.user_capacity);
 }
 
 double RandomPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
                                   const PlatformState& state,
                                   const Arrangement& arrangement) {
-  scores_.resize(round.IsLazy() ? instance_->num_events()
-                                : round.contexts.rows());
-  std::fill(scores_.begin(), scores_.end(), 0.0);
-  ApplyAvailabilityMask(round, scores_);
-  return McRandomArrangementMass(
-      DeriveSeed(propensity_salt_, "mc", static_cast<std::uint64_t>(t)),
-      scores_, instance_->conflicts(), state, round.user_capacity,
-      arrangement);
+  MaskRow(round);
+  return McRandomArrangementMass(KeyedEngine(salt_, "propensity", t),
+                                 scores_, instance_->conflicts(), state,
+                                 round.user_capacity, arrangement);
 }
 
 void RandomPolicy::EstimateRewards(const ContextMatrix& contexts,

@@ -1,6 +1,6 @@
 // Random: the paper's weakest baseline (§5.1). Visits events in a random
 // order and applies the same feasibility filter as Oracle-Greedy; never
-// learns from feedback.
+// learns from feedback. Round t's order is keyed by (salt, "order", t).
 #ifndef FASEA_CORE_RANDOM_POLICY_H_
 #define FASEA_CORE_RANDOM_POLICY_H_
 
@@ -8,13 +8,12 @@
 
 #include "core/policy.h"
 #include "model/instance.h"
-#include "oracle/random_oracle.h"
 
 namespace fasea {
 
 class RandomPolicy final : public Policy {
  public:
-  RandomPolicy(const ProblemInstance* instance, Pcg64 rng);
+  RandomPolicy(const ProblemInstance* instance, std::uint64_t salt);
 
   std::string_view name() const override { return "Random"; }
 
@@ -33,16 +32,17 @@ class RandomPolicy final : public Policy {
   }
 
   /// Monte-Carlo arrangement mass under the uniform feasibility-filtered
-  /// oracle, on a derived per-round stream (the serving oracle stream is
-  /// untouched).
+  /// oracle, on round t's "propensity" stream.
   double PropensityOf(std::int64_t t, const RoundContext& round,
                       const PlatformState& state,
                       const Arrangement& arrangement) override;
 
  private:
+  /// Fills scores_ with the round's availability-only row.
+  void MaskRow(const RoundContext& round);
+
   const ProblemInstance* instance_;
-  RandomOracle oracle_;
-  std::uint64_t propensity_salt_;
+  const std::uint64_t salt_;
   std::vector<double> scores_;
 };
 

@@ -4,17 +4,13 @@
 
 #include "linalg/kernels.h"
 #include "obs/trace.h"
-#include "rng/seed.h"
 
 namespace fasea {
 
 TsPolicy::TsPolicy(const ProblemInstance* instance, const TsParams& params,
-                   Pcg64 rng)
-    : LinearPolicyBase(instance, params.lambda, params.learner),
+                   std::uint64_t salt)
+    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
       params_(params),
-      rng_(rng),
-      propensity_salt_(DeriveSeed(rng.Next(), "ts-propensity")),
-      batch_salt_(DeriveSeed(rng.Next(), "ts-batch")),
       sampled_theta_(instance->dim()) {
   FASEA_CHECK(params.delta > 0.0 && params.delta < 1.0);
   FASEA_CHECK(params.r_scale >= 0.0);
@@ -56,7 +52,8 @@ Arrangement TsPolicy::Propose(std::int64_t t, const RoundContext& round,
   // dense matrix instead.
   const ContextMatrix& contexts = RoundContexts(round);
   std::span<double> scores = Scores(contexts.rows());
-  if (!ScorePosteriorDraw(ridge_, rng_, t, round, contexts, &sampled_theta_,
+  Pcg64 rng = KeyedEngine(salt_, "theta", t);
+  if (!ScorePosteriorDraw(ridge_, rng, t, round, contexts, &sampled_theta_,
                           scores, /*trace=*/true)) {
     ++num_degraded_samples_;
     sample_factor_failures_metric_->Increment();
@@ -72,9 +69,7 @@ RowResolve TsPolicy::ScoreArrival(const LearnerView& view,
                                   const SnapshotRound& arrival,
                                   std::span<double> out) const {
   FASEA_CHECK(arrival.ticket >= 1);
-  Pcg64 rng(DeriveSeed(batch_salt_, "sample",
-                       static_cast<std::uint64_t>(arrival.ticket)),
-            HashTag("ts-batch-sample"));
+  Pcg64 rng = KeyedEngine(salt_, "theta", arrival.ticket);
   Vector theta;
   if (!ScorePosteriorDraw(view, rng, arrival.ticket, *arrival.round,
                           arrival.round->contexts, &theta, out,
@@ -88,11 +83,10 @@ double TsPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
                               const PlatformState& state,
                               const Arrangement& arrangement) {
   // The behavior draw's own distribution: MC draws through the same
-  // routine Propose scores with, on a derived per-round stream.
+  // routine Propose scores with, on round t's own stream.
   const ContextMatrix& contexts = RoundContexts(round);
   std::span<double> scores = Scores(contexts.rows());
-  Pcg64 mc(DeriveSeed(propensity_salt_, "mc", static_cast<std::uint64_t>(t)),
-           HashTag("ts-propensity-mc"));
+  Pcg64 mc = KeyedEngine(salt_, "propensity", t);
   Vector theta;
   int hits = 0;
   for (int k = 0; k < kPropensityMcDraws; ++k) {

@@ -18,7 +18,6 @@
 
 #include "core/linear_policy_base.h"
 #include "linalg/vector.h"
-#include "rng/pcg64.h"
 
 namespace fasea {
 
@@ -31,9 +30,10 @@ struct TsParams {
 
 class TsPolicy final : public LinearPolicyBase {
  public:
-  /// `instance` must outlive the policy; `rng` is the policy's private
-  /// posterior-sampling stream.
-  TsPolicy(const ProblemInstance* instance, const TsParams& params, Pcg64 rng);
+  /// `instance` must outlive the policy; `salt` keys its posterior draws:
+  /// round t samples θ̃ from KeyedEngine(salt, "theta", t).
+  TsPolicy(const ProblemInstance* instance, const TsParams& params,
+           std::uint64_t salt);
 
   std::string_view name() const override { return "TS"; }
 
@@ -42,9 +42,9 @@ class TsPolicy final : public LinearPolicyBase {
 
   /// Sample-count Monte-Carlo estimate: the fraction of fresh posterior
   /// draws θ̃ ~ N(θ̂, q² Y⁻¹) whose greedy arrangement equals the action
-  /// (Laplace-smoothed), on a derived per-round stream — the private
-  /// posterior stream `rng_` and the cached `sampled_theta_` are never
-  /// touched. Degrades to the θ̃ = θ̂ point mass exactly when Propose would.
+  /// (Laplace-smoothed), on round t's "propensity" stream; the cached
+  /// `sampled_theta_` is never touched. Degrades to the θ̃ = θ̂ point mass
+  /// exactly when Propose would.
   double PropensityOf(std::int64_t t, const RoundContext& round,
                       const PlatformState& state,
                       const Arrangement& arrangement) override;
@@ -62,10 +62,8 @@ class TsPolicy final : public LinearPolicyBase {
   std::int64_t num_degraded_samples() const { return num_degraded_samples_; }
 
  protected:
-  /// Each arrival gets an independent posterior draw on a private stream
-  /// derived from its ticket — deterministic given the arrival order,
-  /// untouched by the sequential stream `rng_` — with the ticket as the
-  /// round index of the posterior scale.
+  /// The posterior draw Propose makes at t = ticket, against `view`: the
+  /// ticket keys θ̃ and is the round index of the posterior scale.
   RowResolve ScoreArrival(const LearnerView& view,
                           const SnapshotRound& arrival,
                           std::span<double> out) const override;
@@ -83,13 +81,6 @@ class TsPolicy final : public LinearPolicyBase {
                           std::span<double> out, bool trace) const;
 
   TsParams params_;
-  Pcg64 rng_;
-  std::uint64_t propensity_salt_;
-  // Declared (and thus initialized) after propensity_salt_: its extra
-  // draw from the constructor's rng parameter happens after every
-  // pre-existing stream was derived, so adding it changed no sequential
-  // behavior.
-  std::uint64_t batch_salt_;
   Vector sampled_theta_;
   std::int64_t num_degraded_samples_ = 0;
   Counter* sample_factor_failures_metric_ =

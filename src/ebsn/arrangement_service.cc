@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "oracle/oracle.h"
 #include "oracle/random_oracle.h"
-#include "rng/seed.h"
 
 namespace fasea {
 
@@ -62,7 +61,6 @@ ArrangementService::ArrangementService(const ProblemInstance* instance,
                                        std::uint64_t seed)
     : ArrangementService(instance, kind, params) {
   policy_ = MakePolicy(kind, instance, params, seed);
-  batch_salt_ = DeriveSeed(seed, "batch-serve");
 }
 
 StatusOr<std::unique_ptr<ArrangementService>>
@@ -76,7 +74,6 @@ ArrangementService::FromCheckpoint(const ProblemInstance* instance,
   auto service = std::unique_ptr<ArrangementService>(new ArrangementService(
       instance, checkpoint->kind, checkpoint->params));
   service->policy_ = std::move(policy).value();
-  service->batch_salt_ = DeriveSeed(seed, "batch-serve");
   return service;
 }
 
@@ -143,6 +140,10 @@ void ArrangementService::ConfigureBatching(const BatchingOptions& options) {
               "detach the decision log before enabling batching");
   FASEA_CHECK(!pending_ && "enable batching before serving starts");
   batching_ = options;
+  // Tickets continue the round ids: a service recovered from N rounds
+  // serves its first arrival as round N + 1, as sequential serving would.
+  next_ticket_.store(t_, std::memory_order_relaxed);
+  resolve_turn_ = t_ + 1;
   // The reservation view starts as a copy of the ground truth and stays
   // equal to it whenever no batched round is outstanding.
   effective_state_ = state_;
@@ -589,26 +590,22 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
       next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::shared_ptr<const LearnerSnapshot> snap = CurrentSnapshot();
   FASEA_CHECK(snap != nullptr);
+  const auto* linear = static_cast<const LinearPolicyBase*>(policy_.get());
   RowResolve resolve = RowResolve::kGreedy;
   if (snap->healthy) {
     // The expensive step, on the calling thread against the immutable
     // snapshot with no lock held: other arrivals and feedback commits run
     // in parallel with it.
     const SnapshotRound row{ticket, &round};
-    static_cast<const LinearPolicyBase*>(policy_.get())
-        ->ScoreBatchSnapshot(*snap, std::span<const SnapshotRound>(&row, 1),
-                             &scores, std::span<RowResolve>(&resolve, 1));
+    linear->ScoreBatchSnapshot(*snap, std::span<const SnapshotRound>(&row, 1),
+                               &scores, std::span<RowResolve>(&resolve, 1));
   }
-  // An eGreedy exploration row resolves through a ticket-seeded random
-  // oracle, so the arrangement depends only on (snapshot, ticket, round),
-  // never on which thread serves it.
+  // An eGreedy exploration row resolves through the policy's oracle for
+  // this ticket, the one its Propose explores with at t = ticket.
   std::optional<RandomOracle> explorer;
   ArrangementOracle* oracle = &batch_oracle_;
   if (resolve == RowResolve::kRandom) {
-    oracle = &explorer.emplace(
-        Pcg64(DeriveSeed(batch_salt_, "explore",
-                         static_cast<std::uint64_t>(ticket)),
-              HashTag("batch-explore")));
+    oracle = &explorer.emplace(linear->ExplorationOracle(ticket));
   }
   const std::int64_t scored_ns = Stopwatch::NowNanos();
 

@@ -154,8 +154,9 @@ struct BatchingOptions {
 /// What ServeUserBatched returns: the proposal plus the ids tying the
 /// later SubmitBatchedFeedback call and the telemetry to this round.
 struct BatchedRound {
-  /// Arrival-order id assigned at admission; identifies the round to
-  /// SubmitBatchedFeedback and seeds the policy's per-user randomness.
+  /// Arrival-order id assigned at admission, continuing from the rounds
+  /// served before batching was configured; identifies the round to
+  /// SubmitBatchedFeedback and keys the policy's draws for it.
   std::int64_t ticket = 0;
   /// Epoch (learner observation count) of the snapshot that scored the
   /// proposal — the staleness bound of its estimates.
@@ -526,11 +527,10 @@ class ArrangementService {
   // --- Batched serving --------------------------------------------------
   std::atomic<bool> batching_enabled_{false};
   BatchingOptions batching_;
-  // Seeds the per-ticket RandomOracle streams of eGreedy exploration
-  // rows; derived from the service seed at construction.
-  std::uint64_t batch_salt_ = 0;
   // Arrival-order tickets, taken lock-free once a call has passed every
-  // check, so each ticket reaches its resolve turn.
+  // check, so each ticket reaches its resolve turn. They start after the
+  // rounds served when batching was configured: the ticket is the
+  // serve-time round id stochastic policies key their draws by.
   std::atomic<std::int64_t> next_ticket_{0};
   // The ticket whose capacity resolves next (mu_-guarded, resolve_cv_):
   // arrivals score concurrently but consume capacity strictly in ticket

@@ -37,8 +37,8 @@ struct RecoveryOptions {
   /// checkpoint, kind/params come from the blob).
   PolicyKind kind = PolicyKind::kUcb;
   PolicyParams params;
-  /// Exploration seed of the recovered policy (the RNG position is not
-  /// part of the durable state; see core/checkpoint.h).
+  /// Seed of the recovered policy; the original's seed makes it draw
+  /// exactly as the original would (rng/seed.h KeyedEngine).
   std::uint64_t seed = 0;
 };
 

@@ -5,7 +5,7 @@
 // Properties we rely on:
 //  - deterministic given (seed, stream): experiments reproduce bit-for-bit;
 //  - independent streams: distinct odd increments give uncorrelated
-//    sequences, so each policy owns a private stream.
+//    sequences, so each component owns a private stream.
 #ifndef FASEA_RNG_PCG64_H_
 #define FASEA_RNG_PCG64_H_
 

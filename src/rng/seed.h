@@ -47,6 +47,14 @@ inline Pcg64 MakeEngine(std::uint64_t root, std::string_view tag) {
   return Pcg64(DeriveSeed(root, tag), HashTag(tag));
 }
 
+/// The one rule for a stochastic policy's draws: the engine of `purpose`
+/// (e.g. "theta", "coin") at serve-time round `round` under the policy's
+/// `salt` — as VW's MwtExplorer seeds each decision from (salt, key).
+inline Pcg64 KeyedEngine(std::uint64_t salt, std::string_view purpose,
+                         std::int64_t round) {
+  return Pcg64(DeriveSeed(salt, purpose, static_cast<std::uint64_t>(round)));
+}
+
 }  // namespace fasea
 
 #endif  // FASEA_RNG_SEED_H_

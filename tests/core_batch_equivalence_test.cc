@@ -28,6 +28,7 @@
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
 #include "rng/pcg64.h"
+#include "rng/seed.h"
 #include "sim/experiment.h"
 
 namespace fasea {
@@ -361,7 +362,7 @@ TEST(SnapshotBatchTest, EachUserRowMatchesScoringThatUserAloneWhenLearned) {
 
 TEST(TsRobustnessTest, CorruptYDegradesBatchedProposalInsteadOfAborting) {
   Fixture f = Fixture::Make(12, 5, 3);
-  TsPolicy ts(&f.instance, TsParams{}, Pcg64(7));
+  TsPolicy ts(&f.instance, TsParams{}, /*salt=*/7);
   PlatformState state(f.instance);
   for (std::int64_t t = 1; t <= 5; ++t) {
     const Arrangement a = ts.Propose(t, f.round, state);
@@ -379,15 +380,15 @@ TEST(TsRobustnessTest, CorruptYDegradesBatchedProposalInsteadOfAborting) {
 }
 
 TEST(TsRobustnessTest, TeacherForcedSamplesTrackAFreshFactorSampler) {
-  // A test-side sampler draws from the same stream through a fresh
+  // A test-side sampler draws from round t's keyed stream through a fresh
   // per-round factorization of Y, the paper's O(d³) step, along the
   // policy's own teacher-forced trajectory. The only difference is which
   // factor the draw goes through (fresh vs maintained), so the samples
   // must agree to within the factor drift bound.
   Fixture f = Fixture::Make(15, 6, 3);
   const TsParams params;
-  TsPolicy ts(&f.instance, params, Pcg64(99));
-  Pcg64 reference_rng(99);  // TsPolicy samples from a copy of its rng.
+  constexpr std::uint64_t kSalt = 99;
+  TsPolicy ts(&f.instance, params, kSalt);
   PlatformState state(f.instance);
   Pcg64 feedback_rng(17);
   for (std::int64_t t = 1; t <= 80; ++t) {
@@ -397,6 +398,7 @@ TEST(TsRobustnessTest, TeacherForcedSamplesTrackAFreshFactorSampler) {
         params.r_scale *
         std::sqrt(9.0 * static_cast<double>(ts.ridge().dim()) *
                   std::log(static_cast<double>(t) / params.delta));
+    Pcg64 reference_rng = KeyedEngine(kSalt, "theta", t);
     const Vector want = SampleMvnFromPrecision(
         reference_rng, ts.ridge().ThetaHat(), q, fresh.value());
     const Arrangement a = ts.Propose(t, f.round, state);

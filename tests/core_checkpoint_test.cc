@@ -34,10 +34,12 @@ RoundContext MakeRound(std::size_t n, std::size_t d, Pcg64& rng) {
   return round;
 }
 
-/// Trains a UCB policy for `rounds` rounds and returns it.
+/// Trains a `kind` policy (UCB by default) for `rounds` rounds and
+/// returns it.
 std::unique_ptr<Policy> Train(const ProblemInstance& instance, int rounds,
-                              const PolicyParams& params) {
-  auto policy = MakePolicy(PolicyKind::kUcb, &instance, params, 1);
+                              const PolicyParams& params,
+                              PolicyKind kind = PolicyKind::kUcb) {
+  auto policy = MakePolicy(kind, &instance, params, 1);
   PlatformState state(instance);
   Pcg64 rng(9);
   for (int t = 1; t <= rounds; ++t) {
@@ -78,21 +80,30 @@ TEST(CheckpointTest, RoundTripPreservesLearningState) {
 }
 
 TEST(CheckpointTest, RestoredPolicyProposesIdentically) {
+  // A stochastic policy keeps no RNG state, so the one restored with the
+  // same seed draws exactly what the trained one draws from round 61 on.
   const ProblemInstance instance = MakeInstance(12, 5);
   PolicyParams params;
-  auto policy = Train(instance, 60, params);
-  auto* base = dynamic_cast<LinearPolicyBase*>(policy.get());
-  const std::string blob = SaveCheckpoint(PolicyKind::kUcb, params, *base);
-  auto restored =
-      RestorePolicy(ParseCheckpoint(blob).value(), &instance, 1);
-  ASSERT_TRUE(restored.ok());
+  params.epsilon = 0.5;
+  for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kTs,
+                          PolicyKind::kEpsGreedy, PolicyKind::kExploit,
+                          PolicyKind::kBoltzmann}) {
+    auto policy = Train(instance, 60, params, kind);
+    auto* base = dynamic_cast<LinearPolicyBase*>(policy.get());
+    const std::string blob = SaveCheckpoint(kind, params, *base);
+    auto parsed = ParseCheckpoint(blob);
+    ASSERT_TRUE(parsed.ok()) << PolicyKindName(kind);
+    auto restored = RestorePolicy(*parsed, &instance, 1);
+    ASSERT_TRUE(restored.ok()) << PolicyKindName(kind);
 
-  PlatformState state(instance);
-  Pcg64 rng(123);
-  for (int t = 61; t <= 70; ++t) {
-    RoundContext round = MakeRound(12, 5, rng);
-    EXPECT_EQ(policy->Propose(t, round, state),
-              (*restored)->Propose(t, round, state));
+    PlatformState state(instance);
+    Pcg64 rng(123);
+    for (int t = 61; t <= 70; ++t) {
+      RoundContext round = MakeRound(12, 5, rng);
+      EXPECT_EQ(policy->Propose(t, round, state),
+                (*restored)->Propose(t, round, state))
+          << PolicyKindName(kind) << " round " << t;
+    }
   }
 }
 
@@ -101,7 +112,8 @@ TEST(CheckpointTest, AllRidgeLearnersRoundTrip) {
   PolicyParams params;
   params.epsilon = 0.2;
   for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kTs,
-                          PolicyKind::kEpsGreedy, PolicyKind::kExploit}) {
+                          PolicyKind::kEpsGreedy, PolicyKind::kExploit,
+                          PolicyKind::kBoltzmann}) {
     auto policy = MakePolicy(kind, &instance, params, 3);
     auto* base = dynamic_cast<LinearPolicyBase*>(policy.get());
     ASSERT_NE(base, nullptr) << PolicyKindName(kind);
@@ -121,6 +133,7 @@ TEST(CheckpointTest, ParamsSurviveRoundTrip) {
   params.alpha = 1.5;
   params.delta = 0.05;
   params.epsilon = 0.2;
+  params.temperature = 0.7;
   auto policy = MakePolicy(PolicyKind::kEpsGreedy, &instance, params, 1);
   auto* base = dynamic_cast<LinearPolicyBase*>(policy.get());
   auto parsed =
@@ -130,6 +143,7 @@ TEST(CheckpointTest, ParamsSurviveRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->params.alpha, 1.5);
   EXPECT_DOUBLE_EQ(parsed->params.delta, 0.05);
   EXPECT_DOUBLE_EQ(parsed->params.epsilon, 0.2);
+  EXPECT_DOUBLE_EQ(parsed->params.temperature, 0.7);
 }
 
 TEST(CheckpointTest, RejectsCorruptData) {

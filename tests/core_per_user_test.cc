@@ -135,8 +135,8 @@ TEST(PerUserPolicyBankTest, EstimateBeforeAnyRoundIsZero) {
   for (double e : est) EXPECT_EQ(e, 0.0);
 }
 
-// A fresh round per step, so proposals depend on the serving streams
-// and not only on learner state.
+// A fresh round per step, so proposals depend on the round's draws and
+// not only on learner state.
 RoundContext RandomRound(Pcg64& rng, std::size_t n, std::size_t d,
                          std::int64_t cu, std::int64_t user_id) {
   RoundContext round;

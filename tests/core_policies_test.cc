@@ -5,9 +5,13 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/eps_greedy_policy.h"
 #include "core/opt_policy.h"
+#include "core/per_user_policy.h"
 #include "core/policy_factory.h"
 #include "core/random_policy.h"
 #include "core/ts_policy.h"
@@ -111,7 +115,7 @@ TEST(UcbPolicyTest, AlphaZeroIsPureExploitation) {
 
 TEST(TsPolicyTest, ProposesFeasibleAndLearns) {
   Fixture f = Fixture::Make(10, 4, 3, {{0, 5}});
-  TsPolicy ts(&f.instance, TsParams{}, Pcg64(7));
+  TsPolicy ts(&f.instance, TsParams{}, /*salt=*/7);
   PlatformState state(f.instance);
   for (std::int64_t t = 1; t <= 20; ++t) {
     const Arrangement a = ts.Propose(t, f.round, state);
@@ -123,7 +127,7 @@ TEST(TsPolicyTest, ProposesFeasibleAndLearns) {
 
 TEST(TsPolicyTest, SamplingIsStochastic) {
   Fixture f = Fixture::Make(12, 6, 1);
-  TsPolicy ts(&f.instance, TsParams{}, Pcg64(7));
+  TsPolicy ts(&f.instance, TsParams{}, /*salt=*/7);
   PlatformState state(f.instance);
   std::set<EventId> proposed;
   for (std::int64_t t = 1; t <= 40; ++t) {
@@ -137,8 +141,8 @@ TEST(TsPolicyTest, SamplingIsStochastic) {
 
 TEST(TsPolicyTest, DeterministicGivenSeed) {
   Fixture f = Fixture::Make(8, 4, 2);
-  TsPolicy a(&f.instance, TsParams{}, Pcg64(42));
-  TsPolicy b(&f.instance, TsParams{}, Pcg64(42));
+  TsPolicy a(&f.instance, TsParams{}, /*salt=*/42);
+  TsPolicy b(&f.instance, TsParams{}, /*salt=*/42);
   PlatformState state(f.instance);
   for (std::int64_t t = 1; t <= 10; ++t) {
     const Arrangement aa = a.Propose(t, f.round, state);
@@ -151,7 +155,7 @@ TEST(TsPolicyTest, DeterministicGivenSeed) {
 
 TEST(TsPolicyTest, EstimateRewardsUsesSampledTheta) {
   Fixture f = Fixture::Make(5, 3, 1);
-  TsPolicy ts(&f.instance, TsParams{}, Pcg64(9));
+  TsPolicy ts(&f.instance, TsParams{}, /*salt=*/9);
   PlatformState state(f.instance);
   ts.Propose(1, f.round, state);
   std::vector<double> est(5);
@@ -167,7 +171,7 @@ TEST(EpsGreedyPolicyTest, EpsilonOneAlwaysExplores) {
   Fixture f = Fixture::Make(20, 4, 2);
   EpsGreedyPolicy eg(&f.instance, EpsGreedyParams{.lambda = 1.0,
                                                   .epsilon = 1.0},
-                     Pcg64(3));
+                     /*salt=*/3);
   PlatformState state(f.instance);
   std::set<EventId> proposed;
   for (std::int64_t t = 1; t <= 100; ++t) {
@@ -205,7 +209,7 @@ TEST(EpsGreedyPolicyTest, EGreedyEscapesLockInEventually) {
   Fixture f = Fixture::Make(10, 4, 3);
   EpsGreedyPolicy eg(&f.instance, EpsGreedyParams{.lambda = 1.0,
                                                   .epsilon = 0.2},
-                     Pcg64(5));
+                     /*salt=*/5);
   PlatformState state(f.instance);
   std::set<EventId> proposed;
   for (std::int64_t t = 1; t <= 200; ++t) {
@@ -223,7 +227,7 @@ TEST(EpsGreedyPolicyTest, ExplorationFrequencyNearEpsilon) {
   // Give event 0 a strictly better estimate via one training round.
   EpsGreedyPolicy eg(&f.instance, EpsGreedyParams{.lambda = 1.0,
                                                   .epsilon = 0.3},
-                     Pcg64(11));
+                     /*salt=*/11);
   PlatformState state(f.instance);
   eg.Learn(0, f.round, {0}, AllOne(1));
   int explored = 0;
@@ -238,7 +242,7 @@ TEST(EpsGreedyPolicyTest, ExplorationFrequencyNearEpsilon) {
 
 TEST(RandomPolicyTest, UniformCoverageAndNoLearning) {
   Fixture f = Fixture::Make(10, 3, 1);
-  RandomPolicy random(&f.instance, Pcg64(2));
+  RandomPolicy random(&f.instance, /*salt=*/2);
   PlatformState state(f.instance);
   std::vector<int> counts(10, 0);
   const int kRounds = 10000;
@@ -309,7 +313,7 @@ TEST(PolicyFactoryTest, NamesAndKinds) {
 
 TEST(PolicyPropensityTest, ServedPropensityIsThePropensityOfWhatWasServed) {
   // ServedPropensity may skip work, but it must return PropensityOf's
-  // value and leave the serving streams alone.
+  // value.
   Fixture f = Fixture::Make(12, 3, 3, {{0, 1}, {2, 5}, {4, 7}});
   PolicyParams params;
   params.epsilon = 0.3;
@@ -337,6 +341,46 @@ TEST(PolicyPropensityTest, ServedPropensityIsThePropensityOfWhatWasServed) {
       }
       policy->Learn(t, round, served, feedback);
       twin->Learn(t, round, served, feedback);
+    }
+  }
+}
+
+// The VW rule (SNIPPETS.md snippet 1): asked to choose twice for the same
+// round with nothing learned in between, a policy makes the same choice,
+// also when a propensity was computed in between. Every draw is keyed by
+// (salt, purpose, t), so no call can move a later draw.
+TEST(PolicyRandomnessTest, ChoosingTwiceForOneRoundGivesOneArrangement) {
+  Fixture f = Fixture::Make(12, 4, 3, {{0, 1}, {2, 5}, {4, 7}});
+  PolicyParams params;
+  params.epsilon = 0.5;  // Both branches of the coin, often.
+  std::vector<std::pair<std::string, std::unique_ptr<Policy>>> policies;
+  for (PolicyKind kind :
+       {PolicyKind::kUcb, PolicyKind::kTs, PolicyKind::kEpsGreedy,
+        PolicyKind::kExploit, PolicyKind::kRandom, PolicyKind::kBoltzmann}) {
+    policies.emplace_back(PolicyKindName(kind),
+                          MakePolicy(kind, &f.instance, params, 17));
+  }
+  policies.emplace_back(
+      "PerUser(TS)", std::make_unique<PerUserPolicyBank>([&](std::int64_t user) {
+        return MakePolicy(PolicyKind::kTs, &f.instance, params,
+                          100 + static_cast<std::uint64_t>(user));
+      }));
+  PlatformState state(f.instance);
+  for (auto& [name, policy] : policies) {
+    for (std::int64_t t = 1; t <= 30; ++t) {
+      RoundContext round = f.round;
+      round.user_id = t % 2;
+      const Arrangement first = policy->Propose(t, round, state);
+      EXPECT_EQ(policy->Propose(t, round, state), first)
+          << name << " round " << t;
+      (void)policy->PropensityOf(t, round, state, first);
+      EXPECT_EQ(policy->Propose(t, round, state), first)
+          << name << " round " << t << " after PropensityOf";
+      Feedback feedback(first.size());
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        feedback[i] = static_cast<std::uint8_t>((t + i) % 2);
+      }
+      policy->Learn(t, round, first, feedback);
     }
   }
 }

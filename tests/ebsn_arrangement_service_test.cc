@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/synthetic.h"
 #include "ebsn/event_catalog.h"
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
@@ -251,6 +252,41 @@ TEST(ArrangementServiceTest, ServeWhileAwaitingFeedbackLeavesRoundIntact) {
       service.SubmitFeedback(Feedback(arrangement->size(), 0)).ok());
   EXPECT_EQ(service.rounds_served(), 1);
   EXPECT_EQ(service.log().size(), 1u);
+}
+
+TEST(ArrangementServiceTest, ReServingAnAbortedRoundRepeatsItsArrangement) {
+  // An abort hands the round id back, and every draw is keyed by it, so
+  // the re-served round gets the same draw.
+  SyntheticConfig config;
+  config.num_events = 20;
+  config.dim = 4;
+  config.horizon = 30;
+  config.seed = 31;
+  auto world = SyntheticWorld::Create(config);
+  ASSERT_TRUE(world.ok());
+  PolicyParams params;
+  params.epsilon = 0.5;
+  for (PolicyKind kind :
+       {PolicyKind::kUcb, PolicyKind::kTs, PolicyKind::kEpsGreedy,
+        PolicyKind::kExploit, PolicyKind::kRandom, PolicyKind::kBoltzmann}) {
+    ArrangementService service(&(*world)->instance(), kind, params, 3);
+    Pcg64 fb_rng(11);
+    for (std::int64_t t = 1; t <= config.horizon; ++t) {
+      const RoundContext round = (*world)->provider().NextRound(t);
+      auto first =
+          service.ServeUser(round.user_id, round.user_capacity, round.contexts);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      ASSERT_TRUE(service.AbortPendingRound().ok());
+      auto again =
+          service.ServeUser(round.user_id, round.user_capacity, round.contexts);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(*again, *first) << PolicyKindName(kind) << " round " << t;
+      ASSERT_TRUE(service
+                      .SubmitFeedback((*world)->feedback().Sample(
+                          t, round.contexts, *again, fb_rng))
+                      .ok());
+    }
+  }
 }
 
 TEST(ArrangementServiceTest, LogReplayMatchesLiveService) {

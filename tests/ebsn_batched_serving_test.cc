@@ -117,9 +117,13 @@ void ExpectSingleUserRunMatchesSequential(PolicyKind kind) {
 }
 
 TEST(BatchedServingTest, SingleUserRunMatchesSequentialSeedForSeed) {
-  // UCB and Exploit draw nothing, so the two paths agree seed for seed.
+  // UCB and Exploit draw nothing; TS and eGreedy key their draws by the
+  // serve-time round id, which a lone arrival's ticket equals. So the two
+  // paths agree seed for seed.
   ExpectSingleUserRunMatchesSequential(PolicyKind::kUcb);
   ExpectSingleUserRunMatchesSequential(PolicyKind::kExploit);
+  ExpectSingleUserRunMatchesSequential(PolicyKind::kTs);
+  ExpectSingleUserRunMatchesSequential(PolicyKind::kEpsGreedy);
 }
 
 TEST(BatchedServingTest, ConcurrentArrivalsMatchTicketOrderReplay) {

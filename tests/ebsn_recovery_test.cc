@@ -5,11 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "datagen/synthetic.h"
 #include "ebsn/arrangement_service.h"
 #include "ebsn/event_catalog.h"
 #include "io/fault_injection_env.h"
 #include "oracle/oracle.h"
 #include "rng/distributions.h"
+#include "rng/seed.h"
 
 namespace fasea {
 namespace {
@@ -195,6 +197,118 @@ TEST(RecoveryTest, RecoveredServiceContinuesServing) {
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->payloads.size(), 11u);
   EXPECT_GE(scan->last_segment_index, 2u);
+}
+
+// --- A recovered service continues the uninterrupted run -----------------
+
+constexpr std::int64_t kWalRounds = 20;        // N: rounds in the WAL.
+constexpr std::int64_t kContinuedRounds = 20;  // Served after recovery.
+constexpr std::uint64_t kContinuationSeed = 5;
+
+/// Serves rounds [first, last] of `world` — sequentially, or through the
+/// batched entry points once batching is enabled — and returns the
+/// arrangements. Round t's arrival and feedback depend only on t and the
+/// arrangement, so a run split by a crash sees the inputs of an
+/// uninterrupted one.
+std::vector<Arrangement> ServeRounds(ArrangementService& service,
+                                     SyntheticWorld& world,
+                                     std::int64_t first, std::int64_t last) {
+  std::vector<Arrangement> served;
+  for (std::int64_t t = first; t <= last; ++t) {
+    const RoundContext round = world.provider().NextRound(t);
+    std::int64_t ticket = 0;
+    Arrangement arrangement;
+    if (service.batching_enabled()) {
+      auto result = service.ServeUserBatched(round.user_id,
+                                             round.user_capacity,
+                                             round.contexts);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) break;
+      ticket = result->ticket;
+      arrangement = result->arrangement;
+    } else {
+      auto result =
+          service.ServeUser(round.user_id, round.user_capacity, round.contexts);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) break;
+      arrangement = *result;
+    }
+    Pcg64 fb_rng(DeriveSeed(kContinuationSeed, "feedback",
+                            static_cast<std::uint64_t>(t)));
+    const Feedback feedback =
+        world.feedback().Sample(t, round.contexts, arrangement, fb_rng);
+    const Status st = service.batching_enabled()
+                          ? service.SubmitBatchedFeedback(ticket, feedback)
+                          : service.SubmitFeedback(feedback);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    served.push_back(std::move(arrangement));
+  }
+  return served;
+}
+
+/// Crashes a `kind` service after kWalRounds WAL-logged rounds, recovers
+/// it from the WAL with the same seed, and checks that it serves the
+/// next kContinuedRounds exactly as an uninterrupted service does.
+void ExpectRecoveryContinuesTheRun(PolicyKind kind, bool batched) {
+  SCOPED_TRACE(std::string(PolicyKindName(kind)) +
+               (batched ? " batched" : " sequential"));
+  SyntheticConfig config;
+  config.num_events = 16;
+  config.dim = 4;
+  config.horizon = kWalRounds + kContinuedRounds;
+  config.seed = 23;
+  auto world = SyntheticWorld::Create(config);
+  ASSERT_TRUE(world.ok());
+  const ProblemInstance& instance = (*world)->instance();
+  PolicyParams params;
+  params.epsilon = 0.3;
+
+  ArrangementService uninterrupted(&instance, kind, params, kContinuationSeed);
+  if (batched) uninterrupted.ConfigureBatching(BatchingOptions{});
+  const std::vector<Arrangement> want =
+      ServeRounds(uninterrupted, **world, 1, config.horizon);
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(config.horizon));
+
+  Env* env = Env::Default();
+  const std::string dir =
+      FreshDir(std::string("recovery_continues_") +
+               std::string(PolicyKindName(kind)) + (batched ? "_b" : "_s"));
+  {
+    ArrangementService live(&instance, kind, params, kContinuationSeed);
+    live.AttachWal(OpenWal(env, dir));
+    if (batched) live.ConfigureBatching(BatchingOptions{});
+    ServeRounds(live, **world, 1, kWalRounds);
+  }
+  RecoveryOptions options;
+  options.kind = kind;
+  options.params = params;
+  options.seed = kContinuationSeed;
+  auto recovered = RecoverArrangementService(&instance, env, dir, "", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ArrangementService& service = *recovered->service;
+  ASSERT_EQ(service.rounds_served(), kWalRounds);
+  if (batched) service.ConfigureBatching(BatchingOptions{});
+  const std::vector<Arrangement> got =
+      ServeRounds(service, **world, kWalRounds + 1, config.horizon);
+  EXPECT_EQ(got, std::vector<Arrangement>(want.begin() + kWalRounds,
+                                          want.end()));
+}
+
+TEST(RecoveryTest, RecoveredServiceServesLikeTheUninterruptedOne) {
+  for (PolicyKind kind :
+       {PolicyKind::kUcb, PolicyKind::kTs, PolicyKind::kEpsGreedy,
+        PolicyKind::kExploit, PolicyKind::kRandom, PolicyKind::kBoltzmann}) {
+    ExpectRecoveryContinuesTheRun(kind, /*batched=*/false);
+  }
+}
+
+TEST(RecoveryTest, RecoveredBatchedServiceServesLikeTheUninterruptedOne) {
+  // Tickets continue from the recovered round count, so TS also scales
+  // its posterior for round N + 1, not round 1.
+  for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kExploit,
+                          PolicyKind::kTs, PolicyKind::kEpsGreedy}) {
+    ExpectRecoveryContinuesTheRun(kind, /*batched=*/true);
+  }
 }
 
 TEST(RecoveryTest, EmptyOrMissingWalRecoversFreshService) {
