@@ -170,6 +170,41 @@ BENCHMARK(BM_TsProposeBatched) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_EGreedyProposeBatched) FASEA_PROPOSE_ARGS;
 BENCHMARK(BM_ExploitProposeBatched) FASEA_PROPOSE_ARGS;
 
+// Random's Propose alone: the availability row, the keyed engine and one
+// random selection over the policy's reused scratch.
+void BM_RandomPropose(benchmark::State& state) {
+  RunProposeOnly(state, PolicyKind::kRandom);
+}
+BENCHMARK(BM_RandomPropose)->Args({100, 20})->Args({1000, 20});
+
+// --- Learn-only: one fixed round, the same 5-event arrangement and
+// feedback folded in per call (|V| = 100; the arg is d). Only TS's
+// learner keeps a Cholesky factor, so UCB's Learn skips the factor's
+// O(d²) rank-1 update and its re-derivations on the refactor cadence —
+// the pair is the perf-smoke gate in tools/check.sh.
+void RunLearnOnly(benchmark::State& state, PolicyKind kind) {
+  const std::size_t dim = static_cast<std::size_t>(state.range(0));
+  World w = MakeWorld(kind, /*num_events=*/100, dim);
+  const RoundContext& round = w.world->provider().NextRound(1);
+  const Arrangement a = {3, 17, 42, 64, 91};
+  const Feedback fb = {1, 0, 0, 1, 0};
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    ++t;
+    w.policy->Learn(t, round, a, fb);
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_UcbLearn(benchmark::State& state) {
+  RunLearnOnly(state, PolicyKind::kUcb);
+}
+void BM_TsLearn(benchmark::State& state) {
+  RunLearnOnly(state, PolicyKind::kTs);
+}
+BENCHMARK(BM_UcbLearn)->Arg(15)->Arg(50);
+BENCHMARK(BM_TsLearn)->Arg(15)->Arg(50);
+
 }  // namespace
 }  // namespace fasea
 

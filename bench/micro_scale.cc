@@ -4,7 +4,8 @@
 // pipeline, and prints machine-parseable `[scale] key=value` lines
 // (BENCH_PR9.json holds an earlier revision's snapshot of them).
 //
-//   micro_scale             full sweep (|V|, d, epoch-apply sections)
+//   micro_scale             full sweep (|V|, learner mode, d and
+//                           epoch-apply sections)
 //   micro_scale --parity    small lazy-vs-eager + unit-epoch equivalence
 //                           runs; exit code 0 iff every trajectory is
 //                           bit-identical (tools/check.sh --scale-smoke)
@@ -21,7 +22,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "core/epoch_ridge.h"
-#include "linalg/sherman_morrison.h"
 #include "core/policy_factory.h"
 #include "core/ridge.h"
 #include "core/ucb_policy.h"
@@ -145,8 +145,78 @@ void SweepEvents() {
   std::printf("\n");
 }
 
-/// d sweep: exact O(d²) learner vs the m = 32 sketch — memory and
-/// per-observation update cost.
+/// Learner mode in the loop perfbench's lazy-scale workload runs: UCB on
+/// static lazy contexts, |V| = 10000, d = 15, conflict ratio 0.001, no
+/// event ever full, a ring of 4096 pre-generated rounds. After `warmup`
+/// rounds it times each Propose and Learn of the next `timed` rounds,
+/// exact rank-1 learner vs epoch-64. ROADMAP item 6's keep-or-delete
+/// decision on kEpoch reads this section.
+void SweepLearnerMode() {
+  Section("Learner mode in the lazy-scale loop (UCB, |V| = 10000, d = 15)");
+  const std::int64_t warmup = ScaledHorizon(200000);
+  const std::int64_t timed = ScaledHorizon(200000);
+  constexpr std::size_t kRing = 4096;
+  SyntheticConfig data;
+  data.num_events = 10000;
+  data.dim = 15;
+  data.horizon = static_cast<std::int64_t>(kRing);
+  data.event_capacity_mean = 1e9;
+  data.event_capacity_stddev = 0.0;
+  data.conflict_ratio = 0.001;
+  data.seed = 20170514;
+  data.static_contexts = true;
+  data.lazy_contexts = true;
+  auto world = SyntheticWorld::Create(data);
+  FASEA_CHECK(world.ok());
+  std::vector<RoundContext> ring(kRing);
+  for (std::size_t i = 0; i < kRing; ++i) {
+    ring[i] =
+        (*world)->provider().NextRound(static_cast<std::int64_t>(i) + 1);
+  }
+  for (const bool epoch : {false, true}) {
+    UcbParams params;
+    if (epoch) {
+      params.learner.mode = LearnerMode::kEpoch;
+      params.learner.epoch_length = 64;
+    }
+    UcbPolicy ucb(&(*world)->instance(), params);
+    PlatformState state((*world)->instance());
+    Pcg64 feedback_rng(99);
+    std::int64_t propose_nanos = 0, learn_nanos = 0;
+    for (std::int64_t t = 1; t <= warmup + timed; ++t) {
+      const RoundContext& round =
+          ring[static_cast<std::size_t>(t - 1) % kRing];
+      const std::int64_t t0 = Stopwatch::NowNanos();
+      const Arrangement arrangement = ucb.Propose(t, round, state);
+      const std::int64_t t1 = Stopwatch::NowNanos();
+      const Feedback feedback = (*world)->feedback().Sample(
+          t, round.contexts, arrangement, feedback_rng);
+      for (std::size_t i = 0; i < arrangement.size(); ++i) {
+        if (feedback[i]) state.ConsumeOne(arrangement[i]);
+      }
+      const std::int64_t t2 = Stopwatch::NowNanos();
+      ucb.Learn(t, round, arrangement, feedback);
+      const std::int64_t t3 = Stopwatch::NowNanos();
+      if (t > warmup) {
+        propose_nanos += t1 - t0;
+        learn_nanos += t3 - t2;
+      }
+    }
+    const double propose_us =
+        static_cast<double>(propose_nanos) / 1e3 / static_cast<double>(timed);
+    const double learn_us =
+        static_cast<double>(learn_nanos) / 1e3 / static_cast<double>(timed);
+    std::printf(
+        "[scale] sweep=learner learner=%s num_events=10000 dim=15 "
+        "timed_rounds=%lld propose_us=%.3f learn_us=%.3f round_us=%.3f\n",
+        epoch ? "epoch64" : "exact", static_cast<long long>(timed),
+        propose_us, learn_us, propose_us + learn_us);
+  }
+  std::printf("\n");
+}
+
+/// d sweep: the exact O(d²) learner UCB runs (no Cholesky factor) vs the
+/// m = 32 sketch — memory and per-observation update cost.
 void SweepDim() {
   Section("Learner scaling in d (exact vs frequent-directions m = 32)");
   const std::int64_t updates = 2048;
@@ -194,39 +264,50 @@ void SweepDim() {
   std::printf("\n");
 }
 
-/// Epoch boundary: one rank-k block apply vs k rank-1 updates.
+/// Epoch boundary: one rank-k block apply (RidgeState::ApplyBlock) vs k
+/// rank-1 updates, on the learner each policy runs — UCB's (and every
+/// other non-sampling policy's) keeps no Cholesky factor, TS's re-derives
+/// one per block and rank-1 updates it per observation.
 void SweepEpoch() {
-  Section("Epoch boundary (rank-k block vs k rank-1 updates, d = 100)");
+  Section("Epoch boundary (rank-k block vs k rank-1 updates, d = 20, 100)");
   Pcg64 rng(11);
-  const std::size_t d = 100;
-  for (const std::size_t k : {64u, 128u, 256u, 1024u}) {
-    Matrix block(k, d);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        block(i, j) = UniformReal(rng, -1.0, 1.0) / std::sqrt(double(d));
+  for (const std::size_t d : {20u, 100u}) {
+    for (const std::size_t k : {64u, 128u, 256u, 1024u}) {
+      Matrix block(k, d);
+      std::vector<double> rewards(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = 0; j < d; ++j) {
+          block(i, j) = UniformReal(rng, -1.0, 1.0) / std::sqrt(double(d));
+        }
+        rewards[i] = static_cast<double>(i % 2);
+      }
+      const int reps = d <= 20 ? 200 : 20;
+      for (const bool ts : {false, true}) {
+        RidgeState blocked(d, 1.0, /*refactor_every=*/0, ts);
+        std::int64_t start = Stopwatch::NowNanos();
+        for (int r = 0; r < reps; ++r) blocked.ApplyBlock(block, rewards);
+        const std::int64_t block_nanos = Stopwatch::NowNanos() - start;
+
+        RidgeState rank1(d, 1.0, /*refactor_every=*/0, ts);
+        start = Stopwatch::NowNanos();
+        for (int r = 0; r < reps; ++r) {
+          for (std::size_t i = 0; i < k; ++i) {
+            rank1.Update(block.Row(i), rewards[i]);
+          }
+        }
+        const std::int64_t rank1_nanos = Stopwatch::NowNanos() - start;
+
+        const double block_us =
+            static_cast<double>(block_nanos) / 1e3 / reps / double(k);
+        const double rank1_us =
+            static_cast<double>(rank1_nanos) / 1e3 / reps / double(k);
+        std::printf(
+            "[scale] sweep=epoch learner=%s k=%zu dim=%zu "
+            "block_us_per_obs=%.3f rank1_us_per_obs=%.3f speedup=%.2f\n",
+            ts ? "ts" : "ucb", k, d, block_us, rank1_us,
+            block_us > 0.0 ? rank1_us / block_us : 0.0);
       }
     }
-    const int reps = 20;
-    SymmetricInverse blocked(d, 1.0, /*refactor_every=*/0);
-    std::int64_t start = Stopwatch::NowNanos();
-    for (int r = 0; r < reps; ++r) blocked.ApplyBlock(block);
-    const std::int64_t block_nanos = Stopwatch::NowNanos() - start;
-
-    SymmetricInverse rank1(d, 1.0, /*refactor_every=*/0);
-    start = Stopwatch::NowNanos();
-    for (int r = 0; r < reps; ++r) {
-      for (std::size_t i = 0; i < k; ++i) rank1.RankOneUpdate(block.Row(i));
-    }
-    const std::int64_t rank1_nanos = Stopwatch::NowNanos() - start;
-
-    const double block_us =
-        static_cast<double>(block_nanos) / 1e3 / reps / double(k);
-    const double rank1_us =
-        static_cast<double>(rank1_nanos) / 1e3 / reps / double(k);
-    std::printf(
-        "[scale] sweep=epoch k=%zu dim=%zu block_us_per_obs=%.3f "
-        "rank1_us_per_obs=%.3f speedup=%.2f\n",
-        k, d, block_us, rank1_us, block_us > 0.0 ? rank1_us / block_us : 0.0);
   }
   std::printf("\n");
 }
@@ -310,6 +391,7 @@ int main(int argc, char** argv) {
     return fasea::bench::RunParity() == 0 ? 0 : 1;
   }
   fasea::bench::SweepEvents();
+  fasea::bench::SweepLearnerMode();
   fasea::bench::SweepDim();
   fasea::bench::SweepEpoch();
   return 0;

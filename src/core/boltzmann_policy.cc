@@ -10,7 +10,8 @@ namespace fasea {
 BoltzmannPolicy::BoltzmannPolicy(const ProblemInstance* instance,
                                  const BoltzmannParams& params,
                                  std::uint64_t salt)
-    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
+    : LinearPolicyBase(instance, LearnerReads::kMean, params.lambda,
+                       params.learner, salt),
       params_(params) {
   FASEA_CHECK(params.temperature > 0.0);
 }

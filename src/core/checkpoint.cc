@@ -146,14 +146,17 @@ StatusOr<std::unique_ptr<Policy>> RestorePolicy(
         "checkpoint dimension %zu does not match instance dimension %zu",
         checkpoint.y.rows(), instance->dim()));
   }
-  auto ridge = RidgeState::FromComponents(
-      checkpoint.params.lambda, checkpoint.y, checkpoint.b,
-      checkpoint.num_observations);
-  if (!ridge.ok()) return ridge.status();
   std::unique_ptr<Policy> policy =
       MakePolicy(checkpoint.kind, instance, checkpoint.params, seed);
   auto* base = dynamic_cast<LinearPolicyBase*>(policy.get());
   FASEA_CHECK(base != nullptr);
+  // The restored state keeps a Cholesky factor iff the fresh policy's
+  // learner does (TS alone): a restore never changes what a policy learns.
+  auto ridge = RidgeState::FromComponents(
+      checkpoint.params.lambda, checkpoint.y, checkpoint.b,
+      checkpoint.num_observations, kDefaultRefactorEvery,
+      base->learner().keeps_factor());
+  if (!ridge.ok()) return ridge.status();
   base->RestoreRidge(std::move(ridge).value());
   return policy;
 }

@@ -9,7 +9,8 @@
 namespace fasea {
 
 EpochRidgeState::EpochRidgeState(std::size_t dim, double lambda,
-                                 const LearnerConfig& config)
+                                 const LearnerConfig& config,
+                                 bool keep_factor)
     : dim_(dim), lambda_(lambda), config_(config) {
   FASEA_CHECK(dim > 0);
   FASEA_CHECK(lambda > 0.0);
@@ -20,7 +21,7 @@ EpochRidgeState::EpochRidgeState(std::size_t dim, double lambda,
     b_ = Vector(dim);
     theta_hat_ = Vector(dim);
   } else {
-    inner_.emplace(dim, lambda, config_.refactor_every);
+    inner_.emplace(dim, lambda, config_.refactor_every, keep_factor);
     if (config_.mode == LearnerMode::kEpoch && config_.epoch_length > 1) {
       pending_ = Matrix(static_cast<std::size_t>(config_.epoch_length), dim);
       pending_r_ = Vector(static_cast<std::size_t>(config_.epoch_length));
@@ -241,6 +242,7 @@ RidgeState& EpochRidgeState::mutable_exact() {
 void EpochRidgeState::RestoreExact(RidgeState state) {
   FASEA_CHECK(inner_.has_value());
   FASEA_CHECK(state.dim() == dim_);
+  FASEA_CHECK(state.keeps_factor() == inner_->keeps_factor());
   inner_ = std::move(state);
   pending_count_ = 0;
   total_observations_ = inner_->num_observations();

@@ -22,6 +22,9 @@
 //    exact() are unavailable (checked), so sketch learners cannot be
 //    checkpointed or snapshotted — they are a scoring-scale tool, not a
 //    durability tier.
+//
+// The exact-backed modes keep a Cholesky factor of Y only when built
+// with `keep_factor`, as only TS's learner is (core/ridge.h).
 #ifndef FASEA_CORE_EPOCH_RIDGE_H_
 #define FASEA_CORE_EPOCH_RIDGE_H_
 
@@ -51,8 +54,10 @@ class LearnerView {
 
 class EpochRidgeState final : public LearnerView {
  public:
+  /// `keep_factor` asks the exact-backed modes for a maintained
+  /// Cholesky factor of Y (SamplePosterior); a sketch needs none.
   EpochRidgeState(std::size_t dim, double lambda,
-                  const LearnerConfig& config = {});
+                  const LearnerConfig& config = {}, bool keep_factor = false);
 
   std::size_t dim() const { return dim_; }
   double lambda() const { return lambda_; }
@@ -78,8 +83,10 @@ class EpochRidgeState final : public LearnerView {
 
   /// Draws θ̃ ~ N(θ̂, q²·Y⁻¹) for Thompson sampling. Exact-backed modes
   /// use the maintained Cholesky factor and return false when it is
-  /// unhealthy (caller falls back to its degraded proposal); kSketch
-  /// samples through the Woodbury square root and always succeeds.
+  /// unhealthy or was never kept (a learner built without
+  /// `keep_factor`); the caller falls back to its degraded proposal.
+  /// kSketch samples through the Woodbury square root and always
+  /// succeeds.
   bool SamplePosterior(Pcg64& rng, double q, Vector* out) const override;
 
   // ---- Exact-backed state (CHECK-fails under kSketch) ----
@@ -88,6 +95,10 @@ class EpochRidgeState final : public LearnerView {
   const Matrix& YInverse() const { return exact_ref().YInverse(); }
   const Vector& b() const;
 
+  /// Whether the exact-backed state keeps a Cholesky factor.
+  bool keeps_factor() const {
+    return inner_.has_value() && inner_->keeps_factor();
+  }
   bool factor_healthy() const {
     return inner_.has_value() && inner_->factor_healthy();
   }
@@ -128,6 +139,8 @@ class EpochRidgeState final : public LearnerView {
   /// serving layers that predate the facade. CHECK-fails under kSketch.
   const RidgeState& exact() const { return exact_ref(); }
   RidgeState& mutable_exact();
+  /// Replaces the exact state; `state` must keep a factor iff this
+  /// learner does (checked), so a restore never changes what it learns.
   void RestoreExact(RidgeState state);
   bool has_exact() const { return inner_.has_value(); }
 

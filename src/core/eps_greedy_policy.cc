@@ -20,7 +20,8 @@ void ExplorationRow(const RoundContext& round, std::span<double> out) {
 EpsGreedyPolicy::EpsGreedyPolicy(const ProblemInstance* instance,
                                  const EpsGreedyParams& params,
                                  std::uint64_t salt)
-    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
+    : LinearPolicyBase(instance, LearnerReads::kMean, params.lambda,
+                       params.learner, salt),
       params_(params) {
   FASEA_CHECK(params.epsilon >= 0.0 && params.epsilon <= 1.0);
 }
@@ -54,8 +55,10 @@ Arrangement EpsGreedyPolicy::Propose(std::int64_t t,
     // Exploration: a random feasible arrangement.
     ExplorationRow(round, scores);
     const std::int64_t random_start = SpanStart();
-    Arrangement arrangement = ExplorationOracle(t).Select(
-        scores, conflicts(), state, round.user_capacity);
+    Pcg64 rng = ExplorationEngine(t);
+    Arrangement arrangement = SelectRandom(
+        rng, scores, conflicts(), state, round.user_capacity,
+        &explore_scratch_);
     RecordSpanSince("oracle.random", t, random_start);
     return arrangement;
   }
@@ -93,7 +96,7 @@ double EpsGreedyPolicy::PropensityOf(std::int64_t t, const RoundContext& round,
   double p = greedy_match ? 1.0 - params_.epsilon : 0.0;
   if (params_.epsilon > 0.0) {
     // Exploration component: the same availability-only row the
-    // exploration branch of Propose hands its RandomOracle.
+    // exploration branch of Propose selects over at random.
     ExplorationRow(round, scores);
     p += params_.epsilon *
          McRandomArrangementMass(KeyedEngine(salt_, "propensity", t), scores,

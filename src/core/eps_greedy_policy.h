@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/linear_policy_base.h"
+#include "oracle/random_oracle.h"
 
 namespace fasea {
 
@@ -26,7 +27,7 @@ struct EpsGreedyParams {
 class EpsGreedyPolicy : public LinearPolicyBase {
  public:
   /// `salt` keys the ε coin of round t, KeyedEngine(salt, "coin", t), and
-  /// its random arrangement, ExplorationOracle(t).
+  /// its random arrangement, drawn on ExplorationEngine(t).
   EpsGreedyPolicy(const ProblemInstance* instance,
                   const EpsGreedyParams& params, std::uint64_t salt);
 
@@ -52,8 +53,8 @@ class EpsGreedyPolicy : public LinearPolicyBase {
  protected:
   /// The ε coin Propose flips at t = ticket. Exploitation rows carry the
   /// mean row; exploration rows are marked kRandom with availability-only
-  /// scores — the serving layer resolves them through
-  /// ExplorationOracle(ticket), as Propose does.
+  /// scores — the serving layer resolves them by a random selection on
+  /// ExplorationEngine(ticket), as Propose does.
   RowResolve ScoreArrival(const LearnerView& view,
                           const SnapshotRound& arrival,
                           std::span<double> out) const override;
@@ -63,6 +64,7 @@ class EpsGreedyPolicy : public LinearPolicyBase {
   bool Explores(std::int64_t round) const;
 
   EpsGreedyParams params_;
+  RandomSelectScratch explore_scratch_;  // Propose's exploration buffers.
 };
 
 /// The pure-exploitation special case (ε = 0); needs no randomness.

@@ -13,11 +13,14 @@
 // part of the snapshot — they resolve under the short critical section.
 //
 // A snapshot is a LearnerView (core/epoch_ridge.h): the policies score it
-// with the very routine they score the live learner with. Everything
-// those reads need is precomputed here once per commit instead of once
-// per request: θ̂, the transpose of Y⁻¹ (the confidence-width kernel's
-// operand), and the Cholesky factor of Y for posterior sampling. The
-// reads never mutate, so any number of threads may score one snapshot.
+// with the very routine they score the live learner with. What those
+// reads need is precomputed here once per commit instead of once per
+// request, and only for the policy that reads it (LearnerReads,
+// core/linear_policy_base.h): θ̂ for every policy, the transpose of Y⁻¹
+// (the confidence-width kernel's operand) for UCB alone, and the
+// Cholesky factor of Y for TS alone, while its learner's factor is
+// healthy. The reads never mutate, so any number of threads may score
+// one snapshot.
 #ifndef FASEA_CORE_LEARNER_SNAPSHOT_H_
 #define FASEA_CORE_LEARNER_SNAPSHOT_H_
 
@@ -41,12 +44,12 @@ struct LearnerSnapshot final : LearnerView {
   /// ridge.healthy() at capture; when false the serving layer proposes
   /// statelessly instead of scoring through a corrupt inverse.
   bool healthy = true;
-  /// ridge.factor_healthy() at capture; `factor` is set iff true.
-  bool factor_healthy = false;
 
   Vector theta_hat;   // θ̂ = Y⁻¹ b.
-  Matrix y_inverse_t; // (Y⁻¹)ᵀ — BatchedQuadFormPre's operand.
-  std::optional<Cholesky> factor;  // L with L·Lᵀ = Y, for TS sampling.
+  Matrix y_inverse_t; // (Y⁻¹)ᵀ — BatchedQuadFormPre's operand (UCB only).
+  /// L with L·Lᵀ = Y, for TS sampling: set iff the policy is TS and its
+  /// learner's factor was healthy at capture.
+  std::optional<Cholesky> factor;
 
   /// Σᵢ θ̂ᵢ, computed at capture. A torn read of a mutating θ̂ would
   /// break this identity with overwhelming probability; the staleness

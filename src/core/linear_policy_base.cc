@@ -18,10 +18,13 @@ std::shared_ptr<const LearnerSnapshot> LinearPolicyBase::MakeSnapshot()
   auto snap = std::make_shared<LearnerSnapshot>();
   snap->epoch = ridge_.num_observations();
   snap->healthy = ridge_.healthy();
-  snap->factor_healthy = ridge_.factor_healthy();
   snap->theta_hat = ridge_.ThetaHat();
-  TransposeInto(ridge_.YInverse(), &snap->y_inverse_t);
-  if (snap->factor_healthy) snap->factor.emplace(ridge_.Factor());
+  // Only what the policy reads: UCB's width operand, TS's factor (only
+  // TS's learner keeps one).
+  if (reads_ == LearnerReads::kWidths) {
+    TransposeInto(ridge_.YInverse(), &snap->y_inverse_t);
+  }
+  if (ridge_.factor_healthy()) snap->factor.emplace(ridge_.Factor());
   double checksum = 0.0;
   for (double v : snap->theta_hat.span()) checksum += v;
   snap->theta_checksum = checksum;

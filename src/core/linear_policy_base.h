@@ -25,7 +25,6 @@
 #include "model/instance.h"
 #include "obs/metrics.h"
 #include "oracle/greedy.h"
-#include "oracle/random_oracle.h"
 #include "rng/seed.h"
 
 namespace fasea {
@@ -39,10 +38,20 @@ struct SnapshotRound {
   const RoundContext* round = nullptr;
 };
 
+/// Which LearnerView reads a policy's scoring routine makes beyond θ̂,
+/// declared by each policy class to its base constructor (a base-class
+/// constructor cannot ask a virtual). The learner and its snapshots keep
+/// only the state those reads need.
+enum class LearnerReads {
+  kMean,       // θ̂ alone: Exploit, eGreedy, Boltzmann.
+  kWidths,     // θ̂ and the widths xᵀY⁻¹x: UCB.
+  kPosterior,  // θ̂ and posterior draws through the factor of Y: TS.
+};
+
 /// How the serving layer must turn one scored row into an arrangement:
-/// greedily over the row's scores (the normal case), or via the policy's
-/// ExplorationOracle for the ticket (an eGreedy exploration row — its
-/// "scores" are just the availability mask).
+/// greedily over the row's scores (the normal case), or by a random
+/// selection on the policy's ExplorationEngine for the ticket (an eGreedy
+/// exploration row — its "scores" are just the availability mask).
 enum class RowResolve { kGreedy, kRandom };
 
 class LinearPolicyBase : public Policy {
@@ -85,15 +94,18 @@ class LinearPolicyBase : public Policy {
   const LazyScorer* lazy_scorer() const { return lazy_scorer_.get(); }
 
   /// Captures the current learning state as an immutable epoch snapshot
-  /// (see core/learner_snapshot.h). Caller must hold whatever lock
-  /// serializes Learn — the capture itself reads the live ridge.
+  /// (see core/learner_snapshot.h) holding only what the policy's reads
+  /// need: (Y⁻¹)ᵀ for kWidths, the healthy factor for kPosterior. Caller
+  /// must hold whatever lock serializes Learn — the capture itself reads
+  /// the live ridge.
   std::shared_ptr<const LearnerSnapshot> MakeSnapshot() const;
 
-  /// The oracle that resolves an exploration row (RowResolve::kRandom) of
-  /// serve-time round `round`, keyed by (salt, "explore", round): the one
-  /// eGreedy's Propose explores through at t = round.
-  RandomOracle ExplorationOracle(std::int64_t round) const {
-    return RandomOracle(KeyedEngine(salt_, "explore", round));
+  /// The engine that resolves an exploration row (RowResolve::kRandom) of
+  /// serve-time round `round` through a random selection, keyed by
+  /// (salt, "explore", round): the one eGreedy's Propose explores with at
+  /// t = round.
+  Pcg64 ExplorationEngine(std::int64_t round) const {
+    return KeyedEngine(salt_, "explore", round);
   }
 
   /// Scores every batch row against `snapshot` — no live learner state is
@@ -109,14 +121,19 @@ class LinearPolicyBase : public Policy {
                           std::span<RowResolve> resolve) const;
 
  protected:
-  /// `instance` must outlive the policy. `learner` selects the
-  /// maintenance mode (exact / epoch / sketch; learner_config.h). `salt`
-  /// keys a stochastic policy's draws; deterministic ones leave it 0.
-  LinearPolicyBase(const ProblemInstance* instance, double lambda,
-                   const LearnerConfig& learner = {}, std::uint64_t salt = 0)
+  /// `instance` must outlive the policy. `reads` is what the policy's
+  /// scoring routine reads; only kPosterior builds a learner that keeps a
+  /// Cholesky factor. `learner` selects the maintenance mode (exact /
+  /// epoch / sketch; learner_config.h). `salt` keys a stochastic policy's
+  /// draws; deterministic ones leave it 0.
+  LinearPolicyBase(const ProblemInstance* instance, LearnerReads reads,
+                   double lambda, const LearnerConfig& learner,
+                   std::uint64_t salt = 0)
       : instance_(instance),
-        ridge_(instance->dim(), lambda, learner),
-        salt_(salt) {
+        ridge_(instance->dim(), lambda, learner,
+               /*keep_factor=*/reads == LearnerReads::kPosterior),
+        salt_(salt),
+        reads_(reads) {
     FASEA_CHECK(instance != nullptr);
   }
 
@@ -181,6 +198,7 @@ class LinearPolicyBase : public Policy {
   EpochRidgeState ridge_;
   GreedyOracle greedy_;
   const std::uint64_t salt_;
+  const LearnerReads reads_;
 
  private:
   std::vector<double> scores_;

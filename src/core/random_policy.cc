@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "oracle/random_oracle.h"
 #include "rng/seed.h"
 
 namespace fasea {
@@ -25,8 +24,9 @@ void RandomPolicy::MaskRow(const RoundContext& round) {
 Arrangement RandomPolicy::Propose(std::int64_t t, const RoundContext& round,
                                   const PlatformState& state) {
   MaskRow(round);
-  return RandomOracle(KeyedEngine(salt_, "order", t))
-      .Select(scores_, instance_->conflicts(), state, round.user_capacity);
+  Pcg64 rng = KeyedEngine(salt_, "order", t);
+  return SelectRandom(rng, scores_, instance_->conflicts(), state,
+                      round.user_capacity, &scratch_);
 }
 
 double RandomPolicy::PropensityOf(std::int64_t t, const RoundContext& round,

@@ -8,6 +8,7 @@
 
 #include "core/policy.h"
 #include "model/instance.h"
+#include "oracle/random_oracle.h"
 
 namespace fasea {
 
@@ -44,6 +45,7 @@ class RandomPolicy final : public Policy {
   const ProblemInstance* instance_;
   const std::uint64_t salt_;
   std::vector<double> scores_;
+  RandomSelectScratch scratch_;  // Propose's order and arranged set.
 };
 
 }  // namespace fasea

@@ -5,21 +5,25 @@
 namespace fasea {
 
 RidgeState::RidgeState(std::size_t dim, double lambda,
-                       std::int64_t refactor_every)
+                       std::int64_t refactor_every, bool keep_factor)
     : lambda_(lambda),
       inverse_(dim, lambda, refactor_every),
       b_(dim),
-      factor_(Cholesky::ScaledIdentity(dim, lambda)),
       refactor_every_(refactor_every),
-      factor_work_(dim),
+      factor_healthy_(keep_factor),
       theta_hat_(dim) {
   FASEA_CHECK(lambda > 0.0);
+  if (keep_factor) {
+    factor_ = Cholesky::ScaledIdentity(dim, lambda);
+    factor_work_ = Vector(dim);
+  }
 }
 
 StatusOr<RidgeState> RidgeState::FromComponents(double lambda, Matrix y,
                                                 Vector b,
                                                 std::int64_t num_observations,
-                                                std::int64_t refactor_every) {
+                                                std::int64_t refactor_every,
+                                                bool keep_factor) {
   if (lambda <= 0.0) {
     return InvalidArgumentError("RidgeState: lambda must be positive");
   }
@@ -30,22 +34,24 @@ StatusOr<RidgeState> RidgeState::FromComponents(double lambda, Matrix y,
       SymmetricInverse::FromMatrix(std::move(y), num_observations,
                                    refactor_every);
   if (!inverse.ok()) return inverse.status();
-  RidgeState state(b.size(), lambda, refactor_every);
+  RidgeState state(b.size(), lambda, refactor_every, keep_factor);
   state.inverse_ = std::move(inverse).value();
   state.b_ = std::move(b);
   state.Invalidate();
-  // FromMatrix already factorized Y once to derive the inverse, so this
-  // second factorization cannot fail; it seeds the maintained factor.
-  auto factor = Cholesky::Factorize(state.inverse_.y());
-  FASEA_CHECK(factor.ok());
-  state.factor_ = std::move(factor).value();
+  if (keep_factor) {
+    // FromMatrix already factorized Y once to derive the inverse, so this
+    // second factorization cannot fail; it seeds the maintained factor.
+    auto factor = Cholesky::Factorize(state.inverse_.y());
+    FASEA_CHECK(factor.ok());
+    state.factor_ = std::move(factor).value();
+  }
   return state;
 }
 
 void RidgeState::Update(std::span<const double> x, double reward) {
   FASEA_CHECK(x.size() == dim());
   inverse_.RankOneUpdate(x);
-  if (factor_healthy_ && !factor_.RankOneUpdate(x, factor_work_.span())) {
+  if (factor_healthy_ && !factor_->RankOneUpdate(x, factor_work_.span())) {
     ++num_factor_failures_;
     factor_healthy_ = false;
   }
@@ -54,7 +60,7 @@ void RidgeState::Update(std::span<const double> x, double reward) {
   // Same cadence as the inverse: the periodic exact re-derivation clears
   // rank-1 rounding drift and doubles as the recovery path after a
   // failed update left the factor unusable.
-  if (refactor_every_ > 0 &&
+  if (factor_ && refactor_every_ > 0 &&
       inverse_.num_updates() % refactor_every_ == 0) {
     RefactorizeFactor();
   }
@@ -74,6 +80,7 @@ void RidgeState::ApplyBlock(const Matrix& x_block,
 }
 
 void RidgeState::RefactorizeFactor() {
+  if (!factor_) return;
   auto chol = Cholesky::Factorize(inverse_.y());
   if (!chol.ok()) {
     ++num_factor_failures_;

@@ -9,13 +9,17 @@
 //
 // RidgeState tracks Y exactly, keeps Y⁻¹ current via Sherman–Morrison
 // rank-1 updates (with periodic re-factorization for numerical hygiene),
-// maintains the Cholesky factor of Y the same way (rank-1 updates, same
+// and caches θ̂ lazily. A state built with `keep_factor` also maintains
+// the Cholesky factor of Y the same way (rank-1 updates, same
 // re-factorization cadence) so TS never pays a per-round O(d³)
-// factorization, and caches θ̂ lazily.
+// factorization. Only TS samples from N(θ̂, q²Y⁻¹), so only TS's learner
+// asks for the factor; every other state has none and pays none of its
+// updates, re-derivations or bytes.
 #ifndef FASEA_CORE_RIDGE_H_
 #define FASEA_CORE_RIDGE_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/status.h"
 #include "core/learner_config.h"
@@ -30,16 +34,18 @@ class RidgeState {
   /// `lambda` is the ridge regularizer (Y starts at λI, must be > 0).
   /// `refactor_every` controls the periodic exact re-inversion cadence;
   /// 0 disables it (pure incremental mode, used by the ablation bench).
+  /// `keep_factor` maintains the Cholesky factor of Y (Factor()).
   RidgeState(std::size_t dim, double lambda,
-             std::int64_t refactor_every = kDefaultRefactorEvery);
+             std::int64_t refactor_every = kDefaultRefactorEvery,
+             bool keep_factor = false);
 
   /// Restores a state from previously accumulated components (checkpoint
-  /// loading). `y` must be SPD and shaped like `b`.
-  static StatusOr<RidgeState> FromComponents(double lambda, Matrix y,
-                                             Vector b,
-                                             std::int64_t num_observations,
-                                             std::int64_t refactor_every =
-                                                 kDefaultRefactorEvery);
+  /// loading). `y` must be SPD and shaped like `b`; with `keep_factor`
+  /// the factor is derived fresh from `y`.
+  static StatusOr<RidgeState> FromComponents(
+      double lambda, Matrix y, Vector b, std::int64_t num_observations,
+      std::int64_t refactor_every = kDefaultRefactorEvery,
+      bool keep_factor = false);
 
   std::size_t dim() const { return b_.size(); }
   double lambda() const { return lambda_; }
@@ -49,10 +55,10 @@ class RidgeState {
 
   /// Folds a k×d block of observations in one amortized rank-k step:
   /// Y += XᵀX by register-tiled GEMM, b += Σ rᵢ xᵢ, then an exact
-  /// re-factorization of both the inverse and the Cholesky factor (the
+  /// re-factorization of the inverse and of any kept Cholesky factor (the
   /// epoch boundary — no incremental drift survives a block). Used by
   /// EpochRidgeState; per-observation cost amortizes to O(d²·k/k + d³/k)
-  /// vs k separate O(d²) Sherman–Morrison + factor updates.
+  /// vs k separate O(d²) Sherman–Morrison (+ factor) updates.
   void ApplyBlock(const Matrix& x_block, std::span<const double> rewards);
 
   /// θ̂ = Y⁻¹ b, cached until the next Update.
@@ -80,15 +86,23 @@ class RidgeState {
   void ConfidenceWidthSqBatch(const Matrix& contexts,
                               std::span<double> out) const;
 
+  /// True iff the state was built with `keep_factor` (TS's learner).
+  bool keeps_factor() const { return factor_.has_value(); }
+
   /// The maintained Cholesky factor of Y: rank-1 updated in O(d²) per
   /// observation and re-derived exactly on the refactor cadence, so it
   /// equals the fresh factor of Y up to rank-1 rounding drift. Only
-  /// meaningful while factor_healthy().
-  const Cholesky& Factor() const { return factor_; }
+  /// meaningful while factor_healthy(); CHECK-fails on a state that
+  /// keeps no factor.
+  const Cholesky& Factor() const {
+    FASEA_CHECK(factor_.has_value());
+    return *factor_;
+  }
 
-  /// False once a rank-1 factor update or a periodic re-derivation failed
-  /// (Y numerically corrupt). A later successful re-derivation restores
-  /// health. TS falls back to a degraded proposal while false.
+  /// False on a state that keeps no factor, and once a rank-1 factor
+  /// update or a periodic re-derivation failed (Y numerically corrupt).
+  /// A later successful re-derivation restores health. TS falls back to
+  /// a degraded proposal while false.
   bool factor_healthy() const { return factor_healthy_; }
 
   std::int64_t num_factor_refactorizations() const {
@@ -118,7 +132,7 @@ class RidgeState {
   /// fall back to a stateless proposal (see ArrangementService).
   bool healthy() const { return inverse_.healthy(); }
 
-  /// On-demand exact re-derivation of the inverse and the Cholesky
+  /// On-demand exact re-derivation of the inverse and any kept Cholesky
   /// factor from the tracked Y (O(d³)): clears every bit of rank-1
   /// drift and restores health if Y is still SPD. The sharded serving
   /// layer calls this after absorbing a peer shard's observation delta
@@ -147,13 +161,14 @@ class RidgeState {
 
   std::size_t MemoryBytes() const {
     return inverse_.MemoryBytes() + b_.MemoryBytes() +
-           theta_hat_.MemoryBytes() + factor_.L().MemoryBytes() +
+           theta_hat_.MemoryBytes() +
+           (factor_ ? factor_->L().MemoryBytes() : 0) +
            factor_work_.MemoryBytes() + inverse_t_.MemoryBytes();
   }
 
  private:
-  /// Re-derives the factor from the tracked Y (O(d³)); clears rank-1
-  /// drift, restores health on success.
+  /// Re-derives a kept factor from the tracked Y (O(d³)); clears rank-1
+  /// drift, restores health on success. No-op without a factor.
   void RefactorizeFactor();
   /// Marks θ̂ and (Y⁻¹)ᵀ stale after Y⁻¹ or b changed.
   void Invalidate() {
@@ -164,12 +179,12 @@ class RidgeState {
   double lambda_;
   SymmetricInverse inverse_;
   Vector b_;
-  Cholesky factor_;
+  std::optional<Cholesky> factor_;  // Engaged iff keep_factor.
   std::int64_t refactor_every_;
   std::int64_t num_factor_refactorizations_ = 0;
   std::int64_t num_factor_failures_ = 0;
-  bool factor_healthy_ = true;
-  mutable Vector factor_work_;  // Scratch for the rank-1 factor update.
+  bool factor_healthy_;
+  Vector factor_work_;  // Scratch for the rank-1 factor update.
   mutable Vector theta_hat_;
   mutable Matrix inverse_t_;  // (Y⁻¹)ᵀ, the batched widths' operand.
   mutable bool theta_dirty_ = true;

@@ -9,7 +9,8 @@ namespace fasea {
 
 TsPolicy::TsPolicy(const ProblemInstance* instance, const TsParams& params,
                    std::uint64_t salt)
-    : LinearPolicyBase(instance, params.lambda, params.learner, salt),
+    : LinearPolicyBase(instance, LearnerReads::kPosterior, params.lambda,
+                       params.learner, salt),
       params_(params),
       sampled_theta_(instance->dim()) {
   FASEA_CHECK(params.delta > 0.0 && params.delta < 1.0);

@@ -13,6 +13,10 @@
 // The paper's headline empirical finding is that this sampler — strong
 // under basic MAB — performs poorly under FASEA because the sampled θ̃
 // perturbs the estimates of ALL events at once.
+//
+// Step 3 draws through a maintained Cholesky factor of Y, and TS is the
+// only policy whose learner keeps one (LearnerReads::kPosterior): its
+// rank-1 updates, re-derivations and snapshot copies are TS's cost alone.
 #ifndef FASEA_CORE_TS_POLICY_H_
 #define FASEA_CORE_TS_POLICY_H_
 

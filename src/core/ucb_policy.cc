@@ -9,7 +9,8 @@
 namespace fasea {
 
 UcbPolicy::UcbPolicy(const ProblemInstance* instance, const UcbParams& params)
-    : LinearPolicyBase(instance, params.lambda, params.learner),
+    : LinearPolicyBase(instance, LearnerReads::kWidths, params.lambda,
+                       params.learner),
       params_(params) {
   FASEA_CHECK(params.alpha >= 0.0);
 }

@@ -600,12 +600,13 @@ StatusOr<BatchedRound> ArrangementService::ServeUserBatched(
     linear->ScoreBatchSnapshot(*snap, std::span<const SnapshotRound>(&row, 1),
                                &scores, std::span<RowResolve>(&resolve, 1));
   }
-  // An eGreedy exploration row resolves through the policy's oracle for
-  // this ticket, the one its Propose explores with at t = ticket.
+  // An eGreedy exploration row resolves through a random oracle on the
+  // policy's engine for this ticket, the one its Propose explores with at
+  // t = ticket.
   std::optional<RandomOracle> explorer;
   ArrangementOracle* oracle = &batch_oracle_;
   if (resolve == RowResolve::kRandom) {
-    oracle = &explorer.emplace(linear->ExplorationOracle(ticket));
+    oracle = &explorer.emplace(linear->ExplorationEngine(ticket));
   }
   const std::int64_t scored_ns = Stopwatch::NowNanos();
 

@@ -40,7 +40,8 @@ class GreedyOracle final : public ArrangementOracle {
   /// platform state; on return every proposed seat has been consumed
   /// from it. Rows with a non-null entry in `row_oracle` delegate
   /// selection to that oracle instead of the greedy heap (eGreedy
-  /// exploration rows bring the policy's ExplorationOracle). Every row is
+  /// exploration rows bring a RandomOracle on the policy's
+  /// ExplorationEngine). Every row is
   /// checked feasible against its pre-consumption state.
   std::vector<Arrangement> SelectBatch(
       const Matrix& scores, const ConflictGraph& conflicts,

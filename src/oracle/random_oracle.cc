@@ -7,29 +7,32 @@
 
 namespace fasea {
 
-Arrangement RandomOracle::Select(std::span<const double> scores,
-                                 const ConflictGraph& conflicts,
-                                 const PlatformState& state,
-                                 std::int64_t user_capacity) {
+Arrangement SelectRandom(Pcg64& rng, std::span<const double> scores,
+                         const ConflictGraph& conflicts,
+                         const PlatformState& state,
+                         std::int64_t user_capacity,
+                         RandomSelectScratch* scratch) {
   const std::size_t n = scores.size();
   FASEA_DCHECK(n == state.num_events());
   FASEA_CHECK(user_capacity >= 0);
 
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), 0);
-  Shuffle(rng_, order_);
+  std::vector<EventId>& order = scratch->order;
+  order.resize(n);
+  std::iota(order.begin(), order.end(), 0);
+  Shuffle(rng, order);
 
-  if (arranged_.size() != n) arranged_ = EventBitset(n);
-  arranged_.Reset();
+  EventBitset& arranged = scratch->arranged;
+  if (arranged.size() != n) arranged = EventBitset(n);
+  arranged.Reset();
 
   Arrangement result;
   result.reserve(static_cast<std::size_t>(user_capacity));
-  for (EventId v : order_) {
+  for (EventId v : order) {
     if (static_cast<std::int64_t>(result.size()) >= user_capacity) break;
     if (std::isinf(scores[v]) && scores[v] < 0) continue;  // Excluded.
     if (!state.HasCapacity(v)) continue;
-    if (conflicts.ConflictsWithAny(v, arranged_)) continue;
-    arranged_.Set(v);
+    if (conflicts.ConflictsWithAny(v, arranged)) continue;
+    arranged.Set(v);
     result.push_back(v);
   }
   return result;

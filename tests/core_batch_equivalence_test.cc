@@ -148,7 +148,7 @@ TEST(RidgeFactorTest, MaintainedFactorTracksFreshFactorization) {
   const std::size_t d = 8;
   // refactor_every = 0: pure incremental mode, so the comparison sees
   // the full accumulated rank-1 drift over 3000 updates.
-  RidgeState ridge(d, 1.0, /*refactor_every=*/0);
+  RidgeState ridge(d, 1.0, /*refactor_every=*/0, /*keep_factor=*/true);
   const Matrix train = RandomContexts(3000, d, rng);
   for (std::size_t i = 0; i < train.rows(); ++i) {
     ridge.Update(train.Row(i), static_cast<double>(UniformInt(rng, 0, 1)));
@@ -163,7 +163,7 @@ TEST(RidgeFactorTest, MaintainedFactorTracksFreshFactorization) {
 TEST(RidgeFactorTest, PeriodicRefactorizationRunsOnCadence) {
   Pcg64 rng(203);
   const std::size_t d = 4;
-  RidgeState ridge(d, 1.0, /*refactor_every=*/100);
+  RidgeState ridge(d, 1.0, /*refactor_every=*/100, /*keep_factor=*/true);
   const Matrix train = RandomContexts(250, d, rng);
   for (std::size_t i = 0; i < train.rows(); ++i) {
     ridge.Update(train.Row(i), 1.0);
@@ -182,7 +182,8 @@ TEST(RidgeFactorTest, FromComponentsRebuildsFactor) {
     ridge.Update(train.Row(i), 1.0);
   }
   auto restored = RidgeState::FromComponents(
-      1.0, ridge.Y(), ridge.b(), ridge.num_observations());
+      1.0, ridge.Y(), ridge.b(), ridge.num_observations(),
+      kDefaultRefactorEvery, /*keep_factor=*/true);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->factor_healthy());
   auto fresh = Cholesky::Factorize(ridge.Y());
@@ -283,7 +284,9 @@ TEST(SnapshotBatchTest, EachUserRowMatchesScoringThatUserAloneWhenLearned) {
       linear->Learn(t, round, a, fb);
     }
     const auto snapshot = linear->MakeSnapshot();
-    ASSERT_TRUE(snapshot->factor_healthy);
+    // Only TS samples θ̃: its snapshot carries a healthy factor, and no
+    // other policy's learner keeps one to carry.
+    ASSERT_EQ(snapshot->factor.has_value(), kind == PolicyKind::kTs);
 
     Matrix batch(kUsers, kEvents);
     std::vector<RowResolve> batch_resolve(kUsers, RowResolve::kGreedy);

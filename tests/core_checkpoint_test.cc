@@ -107,6 +107,28 @@ TEST(CheckpointTest, RestoredPolicyProposesIdentically) {
   }
 }
 
+TEST(CheckpointTest, RestoreKeepsTheFactorChoice) {
+  // A restored learner keeps exactly the state its policy reads: no
+  // Cholesky factor for UCB, a healthy fresh one for TS.
+  const ProblemInstance instance = MakeInstance(12, 5);
+  const PolicyParams params;
+  for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kTs}) {
+    SCOPED_TRACE(PolicyKindName(kind));
+    auto policy = Train(instance, 30, params, kind);
+    const std::string blob = SaveCheckpoint(
+        kind, params, *dynamic_cast<LinearPolicyBase*>(policy.get()));
+    auto parsed = ParseCheckpoint(blob);
+    ASSERT_TRUE(parsed.ok());
+    auto restored = RestorePolicy(*parsed, &instance, 1);
+    ASSERT_TRUE(restored.ok());
+    const auto* base = dynamic_cast<const LinearPolicyBase*>(restored->get());
+    ASSERT_NE(base, nullptr);
+    const bool ts = kind == PolicyKind::kTs;
+    EXPECT_EQ(base->learner().factor_healthy(), ts);
+    EXPECT_EQ(base->MakeSnapshot()->factor.has_value(), ts);
+  }
+}
+
 TEST(CheckpointTest, AllRidgeLearnersRoundTrip) {
   const ProblemInstance instance = MakeInstance(6, 4);
   PolicyParams params;

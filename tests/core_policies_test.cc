@@ -395,5 +395,56 @@ TEST(PolicyMemoryTest, LearnersDominateRandom) {
   EXPECT_GT(bytes(PolicyKind::kTs), bytes(PolicyKind::kRandom));
 }
 
+TEST(LearnerStateTest, OnlyThompsonSamplingKeepsACholeskyFactor) {
+  // Only TS samples θ̃ ~ N(θ̂, q²Y⁻¹), so only TS's learner keeps and
+  // re-derives a Cholesky factor of Y and only its snapshot carries one;
+  // only UCB reads the widths, so only its snapshot carries (Y⁻¹)ᵀ. Held
+  // on the rank-1 path (exact) and on the block path (epoch-4).
+  constexpr std::size_t kEvents = 12, kDim = 6;
+  Fixture f = Fixture::Make(kEvents, kDim, 3);
+  for (const std::int64_t epoch : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+    PolicyParams params;
+    params.learner.refactor_every = 8;
+    if (epoch > 1) {
+      params.learner.mode = LearnerMode::kEpoch;
+      params.learner.epoch_length = epoch;
+    }
+    std::size_t ts_bytes = 0;
+    std::vector<std::size_t> other_bytes;
+    for (PolicyKind kind : {PolicyKind::kTs, PolicyKind::kUcb,
+                            PolicyKind::kExploit, PolicyKind::kEpsGreedy,
+                            PolicyKind::kBoltzmann}) {
+      SCOPED_TRACE(PolicyKindName(kind));
+      auto policy = MakePolicy(kind, &f.instance, params, 1);
+      auto* linear = dynamic_cast<LinearPolicyBase*>(policy.get());
+      ASSERT_NE(linear, nullptr);
+      // 36 observations: past the refactor cadence four times, and nine
+      // epoch boundaries under epoch-4.
+      for (std::int64_t t = 1; t <= 12; ++t) {
+        const Arrangement a = {static_cast<EventId>(t % kEvents),
+                               static_cast<EventId>((t + 4) % kEvents),
+                               static_cast<EventId>((t + 8) % kEvents)};
+        linear->Learn(t, f.round, a, Feedback{1, 0, 1});
+      }
+      const bool ts = kind == PolicyKind::kTs;
+      EXPECT_EQ(linear->learner().factor_healthy(), ts);
+      EXPECT_EQ(linear->learner().num_factor_refactorizations() > 0, ts);
+      const auto snapshot = linear->MakeSnapshot();
+      EXPECT_EQ(snapshot->factor.has_value(), ts);
+      EXPECT_EQ(snapshot->y_inverse_t.rows() > 0, kind == PolicyKind::kUcb);
+      if (ts) {
+        ts_bytes = policy->MemoryBytes();
+      } else {
+        other_bytes.push_back(policy->MemoryBytes());
+      }
+    }
+    // Every other learner is smaller by at least the d×d factor.
+    for (const std::size_t bytes : other_bytes) {
+      EXPECT_LE(bytes + kDim * kDim * sizeof(double), ts_bytes);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fasea

@@ -11,6 +11,7 @@
 #   tools/check.sh --metrics-smoke  # also smoke-test `fasea_cli stats`
 #   tools/check.sh --native         # plain tier with -DFASEA_NATIVE_ARCH=ON
 #   tools/check.sh --perf-smoke     # also assert batched >= scalar scoring
+#                                   # and UCB Learn <= 0.75x TS Learn
 #   tools/check.sh --chaos-smoke    # also run the chaos soak matrix
 #   tools/check.sh --shard-smoke    # also run the sharded kill-mode drills
 #   tools/check.sh --replay-smoke   # also record + counterfactually replay
@@ -267,9 +268,10 @@ fi
 
 if [[ "$perf_smoke" -eq 1 ]]; then
   echo
-  echo "== perf smoke: batched vs scalar UCB propose (d=50, |V|=1000) =="
+  echo "== perf smoke: batched vs scalar UCB propose (d=50, |V|=1000)," \
+       "UCB vs TS learn (d=15) =="
   "$root/build/bench/micro_policies" \
-    --benchmark_filter='BM_UcbPropose(Batched|Scalar)/1000/50' \
+    --benchmark_filter='BM_UcbPropose(Batched|Scalar)/1000/50|BM_(Ucb|Ts)Learn/15$' \
     --benchmark_format=json --benchmark_min_time=0.2 \
     >"$root/build/perf_smoke.json"
   python3 - "$root/build/perf_smoke.json" <<'PY'
@@ -290,6 +292,18 @@ assert batched <= 1.10 * scalar, (
     f"({scalar:.0f}ns) at d=50, |V|=1000")
 print(f"perf smoke: batched {batched:.0f}ns <= scalar {scalar:.0f}ns "
       f"({scalar / batched:.2f}x) OK")
+# Only TS samples, so only TS's learner keeps a Cholesky factor: UCB's
+# Learn skips the O(d^2) rank-1 factor update per observation. At d=15 it
+# reads about 0.5x TS's; a factor maintained for every policy again
+# reads about 1x.
+ucb_learn = times["BM_UcbLearn/15"]
+ts_learn = times["BM_TsLearn/15"]
+assert ucb_learn <= 0.75 * ts_learn, (
+    f"UCB learn ({ucb_learn:.0f}ns) above 0.75x TS learn "
+    f"({ts_learn:.0f}ns) at d=15: is a Cholesky factor maintained "
+    f"for a policy that does not sample?")
+print(f"perf smoke: UCB learn {ucb_learn:.0f}ns <= 0.75x TS learn "
+      f"{ts_learn:.0f}ns ({ucb_learn / ts_learn:.2f}x) OK")
 PY
 fi
 
