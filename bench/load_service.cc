@@ -23,7 +23,11 @@
 // so the bench snapshots them after the --warmup phase and reports the
 // measured phase's delta (HistogramSnapshot::DeltaSince) — cold-start
 // rounds never pollute the percentiles. Throughput comes from a
-// wall-clock stopwatch over the measured phase only.
+// wall-clock stopwatch over the measured phase only. Memory comes from
+// getrusage: the process's peak resident set, and the minor page faults
+// of the measured phase per 1000 rounds (tools/check.sh --load-smoke
+// compares the peak across a 10x longer run: the service keeps no
+// per-round history, so it must not grow).
 //
 //   load_service --threads=8 --rounds=20000 --warmup=2000
 //   load_service --threads=8 --rounds=20000 --warmup=2000 --batched
@@ -32,6 +36,8 @@
 // --shards=N routes the load through ShardedArrangementService instead
 // (N=1 degenerates to the full instance, so the 1-vs-N comparison is
 // apples-to-apples; --warmup/--batched apply to the unsharded path only).
+#include <sys/resource.h>
+
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -78,6 +84,33 @@ struct PhaseResult {
   bool aborted = false;
   double seconds = 0.0;
 };
+
+/// Peak resident set and minor page faults of this process so far.
+struct MemoryUsage {
+  double peak_rss_mb = 0.0;
+  std::int64_t minor_faults = 0;
+};
+
+MemoryUsage ReadMemoryUsage() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  // Linux reports ru_maxrss in KiB.
+  return {static_cast<double>(usage.ru_maxrss) / 1024.0,
+          static_cast<std::int64_t>(usage.ru_minflt)};
+}
+
+/// Prints the peak RSS and the minor faults per 1000 of `rounds` since
+/// `start`.
+void PrintMemoryUsage(const MemoryUsage& start, std::int64_t rounds) {
+  const MemoryUsage now = ReadMemoryUsage();
+  std::printf("  peak RSS                   %.1f MB\n", now.peak_rss_mb);
+  std::printf("  minor faults / 1k rounds   %.1f\n",
+              rounds > 0 ? 1000.0 *
+                               static_cast<double>(now.minor_faults -
+                                                   start.minor_faults) /
+                               static_cast<double>(rounds)
+                         : 0.0);
+}
 
 fasea::HistogramSnapshot HistogramByName(const fasea::RegistrySnapshot& snap,
                                          const char* name) {
@@ -222,6 +255,7 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
   std::vector<WorkerTotals> totals(static_cast<std::size_t>(threads));
   std::vector<std::atomic<std::int64_t>> shard_served(
       static_cast<std::size_t>(shards));
+  const MemoryUsage start_memory = ReadMemoryUsage();
   Stopwatch wall;
   wall.Start();
   {
@@ -308,6 +342,7 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
               static_cast<long long>(stats.cross_shard_rounds));
   std::printf("  reservation refusals       %lld\n",
               static_cast<long long>(stats.reservation_refusals));
+  PrintMemoryUsage(start_memory, sum.served);
 
   // Per-home-shard throughput: skew is the max/min QPS ratio; 1.00 is a
   // perfectly even consistent-hash spread of arrivals over shards.
@@ -466,6 +501,7 @@ int main(int argc, char** argv) {
   // The registry histograms are process-cumulative; the baseline taken
   // here makes the reported percentiles cover the measured phase only.
   const RegistrySnapshot before = Metrics()->Snapshot();
+  const MemoryUsage start_memory = ReadMemoryUsage();
   PhaseResult run =
       RunPhase(service, **world, rounds, threads, target_rounds,
                config.seed, batched);
@@ -530,6 +566,7 @@ int main(int argc, char** argv) {
     // start of its capacity resolution (round-mutex acquire + turn wait).
     percentiles("fasea.batch.wait_ns", "ns", "resolve wait");
   }
+  PrintMemoryUsage(start_memory, sum.served);
   std::printf("  invariant violations       %lld\n",
               static_cast<long long>(invariant_violations));
   return invariant_violations == 0 ? 0 : 1;

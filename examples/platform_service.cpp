@@ -6,16 +6,21 @@
 //  2. serve arriving users through ArrangementService (the online
 //     protocol of Definition 3 is enforced — one proposal per user,
 //     feedback required before the next arrival);
-//  3. persist a binary checkpoint and the interaction log (CSV);
-//  4. recover the learner two ways — checkpoint restore and log replay —
-//     and verify both agree with the live service.
+//  3. persist every round to a write-ahead log (the WAL is the only
+//     round history the service keeps) and cut a binary checkpoint;
+//  4. recover the learner two ways — checkpoint restore, and WAL replay
+//     into a fresh policy (RecoverArrangementService with no
+//     checkpoint) — and verify the replay agrees with the live service.
 //
-//   ./platform_service
-#include <cstdio>
+//   ./platform_service     (writes its WAL under the system temp dir)
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 
 #include "ebsn/arrangement_service.h"
 #include "ebsn/event_catalog.h"
+#include "ebsn/recovery_manager.h"
+#include "io/env.h"
 #include "rng/distributions.h"
 #include "rng/seed.h"
 
@@ -76,28 +81,40 @@ int main() {
                 catalog.Name(b).c_str());
   }
 
-  // 2. Serve 200 arriving users.
+  // 2. Serve 200 arriving users, every round written ahead to a WAL.
+  Env* env = Env::Default();
+  const std::string wal_dir =
+      (std::filesystem::temp_directory_path() / "fasea_platform_service_wal")
+          .string();
+  std::filesystem::remove_all(wal_dir);
+  FASEA_CHECK_OK(env->CreateDir(wal_dir));
+  auto wal = WalWriter::Open(env, wal_dir);
+  FASEA_CHECK_OK(wal.status());
   ArrangementService service(&instance.value(), PolicyKind::kUcb,
                              PolicyParams{}, /*seed=*/11);
+  service.AttachWal(std::move(wal).value());
   Vector taste{0.5, 0.1, 0.6, -0.4};  // Hidden: music + evenings, near.
   taste.Normalize();
   LinearFeedbackModel truth(taste);
   Pcg64 ctx_rng = MakeEngine(3, "ctx");
   Pcg64 fb_rng = MakeEngine(3, "fb");
 
+  std::int64_t accepted = 0;
   for (std::int64_t user = 0; user < 200; ++user) {
     const ContextMatrix contexts = BuildContexts(catalog, ctx_rng);
     auto proposal = service.ServeUser(user, /*user_capacity=*/2, contexts);
     FASEA_CHECK_OK(proposal.status());
     const Feedback feedback =
         truth.Sample(user + 1, contexts, *proposal, fb_rng);
-    FASEA_CHECK_OK(service.SubmitFeedback(feedback));
+    FeedbackResult result;
+    FASEA_CHECK_OK(service.SubmitFeedback(feedback, &result));
+    FASEA_CHECK(result.durable);
+    accepted += static_cast<std::int64_t>(NumAccepted(feedback));
   }
-  std::printf("\nServed %lld users; %lld events accepted (log has %zu "
-              "records).\n",
+  std::printf("\nServed %lld users; %lld events accepted (every round "
+              "durable in the WAL).\n",
               static_cast<long long>(service.rounds_served()),
-              static_cast<long long>(service.log().TotalAccepted()),
-              service.log().size());
+              static_cast<long long>(accepted));
   std::printf("Remaining capacities:\n");
   for (std::size_t v = 0; v < catalog.size(); ++v) {
     std::printf("  %-22s %lld/%lld\n", catalog.Name(v).c_str(),
@@ -105,31 +122,35 @@ int main() {
                 static_cast<long long>(instance->capacity(v)));
   }
 
-  // 3. Persist.
+  // 3. Persist: the WAL already holds every round; cut a checkpoint too.
   const std::string checkpoint = service.Checkpoint();
-  const std::string log_csv = service.log().ToCsv();
-  std::printf("\nCheckpoint blob: %zu bytes; interaction log CSV: %zu "
-              "bytes.\n",
-              checkpoint.size(), log_csv.size());
+  std::printf("\nCheckpoint blob: %zu bytes.\n", checkpoint.size());
 
-  // 4a. Recover from the checkpoint.
+  // 4a. Recover the learner from the checkpoint alone.
   auto restored =
       ArrangementService::FromCheckpoint(&instance.value(), checkpoint, 11);
   FASEA_CHECK_OK(restored.status());
-  // 4b. Recover by replaying the CSV log into a fresh policy.
-  auto log = InteractionLog::FromCsv(log_csv, catalog.size(), kDim);
-  FASEA_CHECK_OK(log.status());
-  auto replayed =
-      MakePolicy(PolicyKind::kUcb, &instance.value(), PolicyParams{}, 11);
-  FASEA_CHECK_OK(log->Replay(replayed.get(), catalog.size(), kDim));
+  // 4b. Recover the whole service by replaying the WAL into a fresh
+  // policy: no checkpoint, the same Learn calls the live service made.
+  RecoveryOptions options;
+  options.kind = PolicyKind::kUcb;
+  options.seed = 11;
+  auto recovered = RecoverArrangementService(&instance.value(), env, wal_dir,
+                                             /*checkpoint_blob=*/"", options);
+  FASEA_CHECK_OK(recovered.status());
+  std::printf("WAL replay: %lld records, %lld rounds served.\n",
+              static_cast<long long>(recovered->report.records_replayed),
+              static_cast<long long>(recovered->service->rounds_served()));
 
   const auto* live = dynamic_cast<const LinearPolicyBase*>(&service.policy());
-  const auto* from_log = dynamic_cast<LinearPolicyBase*>(replayed.get());
+  const auto* from_wal =
+      dynamic_cast<const LinearPolicyBase*>(&recovered->service->policy());
   const double divergence =
-      from_log->ridge().Y().MaxAbsDiff(live->ridge().Y());
-  std::printf("Replayed-from-log Gram matrix differs from live by %.2e "
-              "(expected ~1e-16..0).\n",
+      from_wal->ridge().Y().MaxAbsDiff(live->ridge().Y());
+  std::printf("Replayed-from-WAL Gram matrix differs from live by %.2e "
+              "(expected 0).\n",
               divergence);
+  FASEA_CHECK(divergence == 0.0);
   std::printf("\nLearned taste estimate (music, sports, evening, "
               "distance):\n  ");
   for (std::size_t j = 0; j < kDim; ++j) {
@@ -138,5 +159,6 @@ int main() {
   std::printf("\n  vs hidden: ");
   for (std::size_t j = 0; j < kDim; ++j) std::printf("%+.3f ", taste[j]);
   std::printf("\n");
+  std::filesystem::remove_all(wal_dir);
   return 0;
 }

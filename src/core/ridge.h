@@ -134,11 +134,8 @@ class RidgeState {
 
   /// On-demand exact re-derivation of the inverse and any kept Cholesky
   /// factor from the tracked Y (O(d³)): clears every bit of rank-1
-  /// drift and restores health if Y is still SPD. The sharded serving
-  /// layer calls this after absorbing a peer shard's observation delta
-  /// — a merged batch of rank-1 updates can drift the factor further
-  /// than the periodic cadence anticipates, and the exact restart is
-  /// the repair path.
+  /// drift and restores health if Y is still SPD. A block fold
+  /// (ApplyBlock) ends with the same re-derivation.
   void Refactorize() {
     inverse_.Refactorize();
     RefactorizeFactor();

@@ -1,5 +1,6 @@
 #include "ebsn/arrangement_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <utility>
@@ -50,8 +51,7 @@ ArrangementService::ArrangementService(const ProblemInstance* instance,
     : instance_(instance),
       kind_(kind),
       params_(params),
-      state_(*instance),
-      log_(instance->num_events(), instance->dim()) {
+      state_(*instance) {
   FASEA_CHECK(instance != nullptr);
 }
 
@@ -464,11 +464,13 @@ Status ArrangementService::CommitRoundLocked(std::int64_t t,
     }
   }
 
-  InteractionRecord record;
+  // The WAL is the only history of served rounds: the record exists
+  // only to be encoded, and only when there is a log to write it to.
   std::string encoded;
-  {
+  if (wal_ != nullptr && !wal_degraded_) {
     TraceSpan span("feedback.encode", t, TraceRing::Global(), nullptr,
                    trace_id);
+    InteractionRecord record;
     record.t = t;
     record.user_id = round.user_id;
     record.user_capacity = round.user_capacity;
@@ -478,9 +480,7 @@ Status ArrangementService::CommitRoundLocked(std::int64_t t,
       const auto row = round.contexts.Row(v);
       record.contexts.emplace_back(row.begin(), row.end());
     }
-    if (wal_ != nullptr && !wal_degraded_) {
-      encoded = EncodeInteractionRecord(record);
-    }
+    encoded = EncodeInteractionRecord(record);
   }
 
   // Write-ahead: the interaction must be durable (per the writer's fsync
@@ -500,7 +500,6 @@ Status ArrangementService::CommitRoundLocked(std::int64_t t,
   }
   accepted_events_metric_->Add(
       static_cast<std::int64_t>(NumAccepted(feedback)));
-  FASEA_CHECK_OK(log_.Append(std::move(record)));
   feedback_rounds_metric_->Increment();
   UpdateHealthGaugeLocked();
   return Status::Ok();
@@ -745,7 +744,11 @@ Status ArrangementService::RestoreInteraction(
         "or duplicated frame)",
         static_cast<long long>(record.t), static_cast<long long>(t_)));
   }
-  if (Status st = log_.Validate(record); !st.ok()) return st;
+  if (Status st = ValidateInteractionRecord(record, instance_->num_events(),
+                                            instance_->dim());
+      !st.ok()) {
+    return st;
+  }
   for (std::size_t i = 0; i < record.arrangement.size(); ++i) {
     if (record.feedback[i] && !state_.HasCapacity(record.arrangement[i])) {
       return DataLossError(StrFormat(
@@ -755,7 +758,7 @@ Status ArrangementService::RestoreInteraction(
     }
   }
 
-  // All checks passed; apply. Append cannot fail after Validate.
+  // All checks passed; apply.
   for (std::size_t i = 0; i < record.arrangement.size(); ++i) {
     if (record.feedback[i]) {
       state_.ConsumeOne(record.arrangement[i]);
@@ -770,12 +773,11 @@ Status ArrangementService::RestoreInteraction(
     RoundContext scratch;
     scratch.contexts =
         ContextMatrix(instance_->num_events(), instance_->dim());
-    InteractionLog::FeedRecord(record, instance_->num_events(),
-                               instance_->dim(), policy_.get(), &scratch);
+    FeedInteractionRecord(record, instance_->num_events(), instance_->dim(),
+                          policy_.get(), &scratch);
   }
   t_ = record.t;
   rounds_served_gauge_->Set(static_cast<double>(t_));
-  FASEA_CHECK_OK(log_.Append(record));
   PublishSnapshotLocked();
   return Status::Ok();
 }
@@ -827,10 +829,17 @@ Status ArrangementService::AbsorbPeerObservations(
           obs.context.size(), instance_->dim()));
     }
   }
-  for (const PeerObservation& obs : delta) {
-    ridge.Update(obs.context, obs.reward);
+  // One rank-k block: Y gains the same products in the same order as k
+  // rank-1 updates would add them, b the same Axpys, and the inverse
+  // (and TS's factor) are re-derived exactly from Y.
+  Matrix block(delta.size(), instance_->dim());
+  std::vector<double> rewards(delta.size());
+  for (std::size_t k = 0; k < delta.size(); ++k) {
+    std::copy(delta[k].context.begin(), delta[k].context.end(),
+              block.Row(k).begin());
+    rewards[k] = delta[k].reward;
   }
-  ridge.Refactorize();
+  ridge.ApplyBlock(block, rewards);
   learner_healthy_gauge_->Set(ridge.healthy() ? 1.0 : 0.0);
   UpdateHealthGaugeLocked();
   // Batched scoring must see the merged estimates (healthy or not — an

@@ -1,11 +1,13 @@
 // ArrangementService: the embeddable front door of a FASEA deployment.
 //
-// Owns the policy, the live platform state (remaining capacities), and
-// the interaction log, and enforces the online protocol of Definition 3:
-// each arriving user gets an immediate, feasible, irrevocable proposal;
-// the user's feedback must be submitted before the next user is served;
-// accepted events consume capacity; every interaction is logged and
-// learned from.
+// Owns the policy and the live platform state (remaining capacities),
+// and enforces the online protocol of Definition 3: each arriving user
+// gets an immediate, feasible, irrevocable proposal; the user's feedback
+// must be submitted before the next user is served; accepted events
+// consume capacity; every interaction is learned from. The service keeps
+// no history of served rounds: the learner holds only its sufficient
+// statistics (Y, b), and the attached WAL, when there is one, is the
+// round history.
 //
 // Durability: with a WAL attached (AttachWal), SubmitFeedback persists
 // the interaction *before* mutating any state — write-ahead — so a crash
@@ -42,11 +44,11 @@
 // proposal — feasibility is still guaranteed, learning quality is not —
 // instead of crashing; stateless_fallbacks() counts such rounds.
 //
-// Recovery paths: Checkpoint() + WAL tail via RecoverArrangementService
-// (ebsn/recovery_manager.h), checkpoint-only via FromCheckpoint, or
-// InteractionLog::Replay over a persisted CSV log. After recovery the
-// WAL may be re-attached (AttachWal allows re-attach whenever the
-// current writer is broken or the service is degraded).
+// Recovery paths: RecoverArrangementService (ebsn/recovery_manager.h)
+// replays the WAL, on top of a Checkpoint() blob or into a fresh policy;
+// FromCheckpoint restores the learner alone. After recovery the WAL may
+// be re-attached (AttachWal allows re-attach whenever the current writer
+// is broken or the service is degraded).
 //
 // Thread safety: ServeUser, SubmitFeedback, RestoreInteraction,
 // Checkpoint, AttachWal, Health, and the health accessors are safe to
@@ -56,7 +58,7 @@
 // a round that is mid-flight fails with the same retryable
 // FailedPrecondition a single-threaded caller gets for an out-of-order
 // call; closed-loop drivers (bench/load_service.cc) simply retry. The
-// reference accessors state()/log()/policy() hand out unguarded views —
+// reference accessors state()/policy() hand out unguarded views —
 // take them only while no other thread is mutating (tests, recovery
 // tooling). ConfigureOverload must be called before serving starts.
 //
@@ -72,7 +74,7 @@
 // order across tickets, and each commit publishes a fresh snapshot —
 // scoring never blocks on learning, learning never blocks on scoring.
 // Both serving paths pass one admission gate and commit feedback
-// through one write-ahead / consume / learn / log step. The sequential
+// through one write-ahead / consume / learn step. The sequential
 // entry points are rejected while batching is enabled (and vice versa
 // the batched ones before), so a deployment runs exactly one protocol
 // and the sequential path stays bit-identical to a build without this
@@ -278,7 +280,7 @@ class ArrangementService {
                                           const Deadline& deadline = {});
 
   /// Feedback for a batched round, by ticket; order across outstanding
-  /// tickets is free. Runs the same write-ahead / consume / learn / log
+  /// tickets is free. Runs the same write-ahead / consume / learn
   /// pipeline as SubmitFeedback (the committed record gets the next
   /// round id, so WAL replay order is commit order), releases the
   /// round's rejected-seat reservations, and publishes a fresh learner
@@ -334,38 +336,42 @@ class ArrangementService {
 
   /// Submits the served user's feedback (aligned with the returned
   /// arrangement): logs to the WAL (if attached), consumes capacities,
-  /// trains the policy, records the interaction. On kUnavailable nothing
-  /// has changed and the same feedback may be submitted again. `result`
+  /// trains the policy. On kUnavailable nothing has changed and the same
+  /// feedback may be submitted again. `result`
   /// (optional) reports the round id and whether the ack is durable.
   Status SubmitFeedback(const Feedback& feedback,
                         FeedbackResult* result = nullptr,
                         const Deadline& deadline = {});
 
-  /// Folds a peer shard's observation delta into the learner (ridge
-  /// state is additive, so absorbing (x, r) pairs out of round order is
-  /// exact) and then runs an exact Cholesky refactorization restart —
-  /// the repair for the factor drift a merged batch of rank-1 updates
-  /// can accumulate. Thread-safe against the round pipeline. No effect
-  /// on capacities, the log, or the round counter; absorbed
-  /// observations are soft state that crash recovery does not restore
-  /// (the next merge re-syncs). kFailedPrecondition for policies
-  /// without ridge state.
+  /// Folds a peer shard's observation delta into the learner as one
+  /// rank-k block (RidgeState::ApplyBlock: Y += XᵀX, b += Σ r x, then the
+  /// inverse and any kept Cholesky factor re-derived exactly from Y).
+  /// Ridge state is additive, so absorbing (x, r) pairs out of round
+  /// order is exact, and the block adds the same products onto Y, in
+  /// the same order, as a loop of rank-1 updates would — the merged
+  /// learner is bit-identical to that loop followed by Refactorize().
+  /// Thread-safe against the round pipeline. No effect on capacities or
+  /// the round counter; absorbed observations are soft state that crash
+  /// recovery does not restore (the next merge re-syncs).
+  /// kFailedPrecondition for policies without ridge state.
   Status AbsorbPeerObservations(const std::vector<PeerObservation>& delta);
 
   /// Serializes the policy's learning state (see core/checkpoint.h).
   std::string Checkpoint() const;
 
-  /// Recovery hook: re-applies one previously logged interaction —
-  /// capacity consumption, the in-memory log, and the round counter;
-  /// policy learning only when `learn` is true (records already covered
-  /// by a checkpoint were learned before it was cut). Records must
-  /// arrive in strictly increasing `t` order (gaps are legal: rounds
-  /// served non-durably leave none). On failure nothing has changed.
-  /// Used by RecoverArrangementService.
+  /// Recovery hook: validates one previously logged interaction
+  /// (ValidateInteractionRecord, then every accepted event must still
+  /// have a seat) and re-applies it — capacity consumption and the round
+  /// counter; policy learning only when `learn` is true (records already
+  /// covered by a checkpoint were learned before it was cut). The record
+  /// is not kept. Records must arrive in strictly increasing `t` order
+  /// (gaps are legal: rounds served non-durably leave none). On failure
+  /// nothing has changed. Used by RecoverArrangementService and the
+  /// sharded layer's shard recovery.
   Status RestoreInteraction(const InteractionRecord& record, bool learn);
 
   /// Rebalance hook: folds a migrated event's consumed-so-far capacity
-  /// into the state without a log record or a round-counter step — the
+  /// into the state without a round record or a round-counter step — the
   /// consumption happened on another shard under a previous ownership
   /// epoch, and its per-round history stays in that shard's WAL. Fails
   /// (nothing changed) when the event is unknown, `consumed` is
@@ -375,7 +381,6 @@ class ArrangementService {
   /// Unguarded views — require external quiescence (see the thread-safety
   /// note above).
   const PlatformState& state() const { return state_; }
-  const InteractionLog& log() const { return log_; }
   const Policy& policy() const { return *policy_; }
   /// Mutable policy access — for recovery tooling and fault-injection
   /// tests; production serving goes through ServeUser/SubmitFeedback.
@@ -472,9 +477,10 @@ class ArrangementService {
 
   /// The commit step of both feedback paths, for round `t`: checks
   /// `feedback` against `arrangement`, writes the record ahead to the
-  /// WAL, consumes the accepted seats from state_, trains the policy and
-  /// appends the record to the log. A non-OK return means nothing was
-  /// applied; `*durable` reports whether the record reached the WAL.
+  /// WAL (building it only when a WAL is attached and not degraded),
+  /// consumes the accepted seats from state_ and trains the policy. A
+  /// non-OK return means nothing was applied; `*durable` reports whether
+  /// the record reached the WAL.
   /// The caller owns the round counter and its pending-round
   /// bookkeeping.
   Status CommitRoundLocked(std::int64_t t, const RoundContext& round,
@@ -503,7 +509,6 @@ class ArrangementService {
   PolicyParams params_;
   std::unique_ptr<Policy> policy_;
   PlatformState state_;
-  InteractionLog log_;
 
   std::unique_ptr<WalWriter> wal_;
   DurabilityPolicy durability_;

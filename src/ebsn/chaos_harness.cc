@@ -292,8 +292,8 @@ void CrashRecoverAndVerify(ChaosRun* run, int cycle) {
 
   // Invariant: the WAL never invents rounds, and no durable ack is lost.
   std::set<std::int64_t> recovered_ids;
-  for (std::size_t i = 0; i < service.log().size(); ++i) {
-    const std::int64_t t = service.log().record(i).t;
+  for (const InteractionRecord& record : recovered->records) {
+    const std::int64_t t = record.t;
     recovered_ids.insert(t);
     if (run->truth.find(t) == run->truth.end()) {
       run->Violation(StrFormat(
@@ -311,31 +311,33 @@ void CrashRecoverAndVerify(ChaosRun* run, int cycle) {
   }
 
   // Invariant: recovery is bit-identical to a shadow service that
-  // replays exactly the recovered rounds from the in-memory truth.
+  // replays exactly the recovered rounds from the in-memory truth, and
+  // every recovered record encodes to the same bytes as its truth.
   ArrangementService shadow(&run->world->instance(), PolicyKind::kUcb,
                             PolicyParams{}, run->policy_seed);
-  for (const std::int64_t t : recovered_ids) {
-    const auto it = run->truth.find(t);
+  for (const InteractionRecord& record : recovered->records) {
+    const auto it = run->truth.find(record.t);
     if (it == run->truth.end()) continue;  // Already a violation above.
     if (Status st = shadow.RestoreInteraction(it->second, /*learn=*/true);
         !st.ok()) {
       run->Violation(StrFormat("cycle %d: shadow replay of round %lld "
                                "failed: %s",
-                               cycle, static_cast<long long>(t),
+                               cycle, static_cast<long long>(record.t),
                                st.ToString().c_str()));
       return;
+    }
+    if (EncodeInteractionRecord(record) !=
+        EncodeInteractionRecord(it->second)) {
+      run->Violation(StrFormat(
+          "cycle %d: recovered round %lld differs from the acknowledged "
+          "record",
+          cycle, static_cast<long long>(record.t)));
     }
   }
   if (service.Checkpoint() != shadow.Checkpoint()) {
     run->Violation(StrFormat(
         "cycle %d: recovered learning state (Y, b) differs from the "
         "shadow replay of the durable history",
-        cycle));
-  }
-  if (service.log().ToCsv() != shadow.log().ToCsv()) {
-    run->Violation(StrFormat(
-        "cycle %d: recovered interaction log differs from the shadow "
-        "replay",
         cycle));
   }
   if (service.rounds_served() != shadow.rounds_served()) {
@@ -1060,6 +1062,13 @@ void CrashRecoverAllAndVerify(ShardedRun* run, int cycle) {
     recovered_record.t = t;
     InteractionRecord truth_record = it->second;
     truth_record.t = t;
+    if (EncodeInteractionRecord(recovered_record) !=
+        EncodeInteractionRecord(truth_record)) {
+      run->Violation(StrFormat(
+          "cycle %d: recovered decision of txn %llu differs from the "
+          "acknowledged record",
+          cycle, static_cast<unsigned long long>(txn)));
+    }
     if (Status st =
             shadow_recovered.RestoreInteraction(recovered_record, true);
         !st.ok()) {
@@ -1081,12 +1090,6 @@ void CrashRecoverAllAndVerify(ShardedRun* run, int cycle) {
     run->Violation(StrFormat(
         "cycle %d: the recovered decision union replays to different "
         "learning state (Y, b) than the acknowledged truth",
-        cycle));
-  }
-  if (shadow_recovered.log().ToCsv() != shadow_truth.log().ToCsv()) {
-    run->Violation(StrFormat(
-        "cycle %d: the recovered decision union replays to a different "
-        "interaction log than the acknowledged truth",
         cycle));
   }
   if (shadow_recovered.rounds_served() != shadow_truth.rounds_served()) {

@@ -20,11 +20,14 @@
 // Invariants checked every cycle (violations are collected, not thrown):
 //
 //   - No durable acknowledgement is lost: every round SubmitFeedback
-//     acked with FeedbackResult::durable is present in the recovered log.
-//   - The recovered service is bit-identical to a shadow service that
-//     replays exactly the recovered rounds from the in-memory truth:
-//     same checkpoint blob (Y, b, observation count), same remaining
-//     capacities, same log CSV, same round counter.
+//     acked with FeedbackResult::durable is among the records recovery
+//     restored (RecoveredService::records).
+//   - Every recovered record encodes (EncodeInteractionRecord) to the
+//     same bytes as the harness's truth record of that round, and the
+//     recovered service is bit-identical to a shadow service that
+//     replays exactly the recovered rounds from the truth: same
+//     checkpoint blob (Y, b, observation count), same remaining
+//     capacities, same round counter.
 //   - The WAL never invents rounds: everything recovered was acked.
 //   - Remaining capacities never go negative (live and recovered).
 //   - The breaker re-closes after faults disarm.
@@ -128,10 +131,12 @@ StatusOr<FaultSchedule> ResolveFaultSchedule(std::string_view spec);
 //      acknowledged, or proven committed after a mid-commit crash);
 //   2. no durable acknowledgement is lost (durable txns ⊆ recovered
 //      decisions);
-//   3. the union of the shards' recovered decision records, replayed in
-//      txn order into a fresh UNSHARDED service over the full instance,
-//      is bit-identical (checkpoint, log CSV, capacities, round count)
-//      to the same replay of the harness's own truth ledger;
+//   3. every recovered decision record encodes to the same bytes as the
+//      harness's truth record of its txn, and the union of the shards'
+//      recovered decision records, replayed in txn order into a fresh
+//      UNSHARDED service over the full instance, is bit-identical
+//      (checkpoint, capacities, round count) to the same replay of the
+//      harness's own truth ledger;
 //   4. per-event capacities on the recovered shards agree exactly with
 //      that unsharded shadow (cross-shard portions land where the
 //      decisions say);

@@ -1,11 +1,14 @@
-// InteractionLog: append-only history of (user, arrangement, feedback)
-// interactions, with CSV round-trip and policy replay.
+// InteractionRecord: one served round — (user, arrangement, feedback)
+// plus the context row of each arranged event — and the functions every
+// reader of round history shares: its WAL codec, its shape validation,
+// and the step that feeds it to a policy.
 //
-// Replay rebuilds a freshly constructed policy's learning state from the
-// log — the recovery path a production deployment uses when no binary
-// checkpoint exists. Only the arranged events' context rows are stored:
-// they are exactly what the ridge update consumes (Y += x xᵀ, b += r x
-// over arranged events), so replay reproduces Y and b bit-for-bit.
+// The WAL is the only history of served rounds: a frame's payload is
+// one encoded record, and recovery (ebsn/recovery_manager.h) decodes,
+// validates and feeds each one. Only the arranged events' context rows
+// are stored: they are exactly what the ridge update consumes
+// (Y += x xᵀ, b += r x over arranged events), so feeding the records in
+// order into a fresh policy reproduces Y and b bit-for-bit.
 #ifndef FASEA_EBSN_INTERACTION_LOG_H_
 #define FASEA_EBSN_INTERACTION_LOG_H_
 
@@ -28,57 +31,20 @@ struct InteractionRecord {
   std::vector<std::vector<double>> contexts;
 };
 
-class InteractionLog {
- public:
-  explicit InteractionLog(std::size_t num_events, std::size_t dim)
-      : num_events_(num_events), dim_(dim) {}
+/// Shape/bounds validation of one record against an instance of
+/// `num_events` events in dimension `dim`: arrangement, feedback and
+/// contexts align, the arrangement fits the user capacity, event ids are
+/// in range, rows have `dim` entries and feedback is 0/1.
+Status ValidateInteractionRecord(const InteractionRecord& record,
+                                 std::size_t num_events, std::size_t dim);
 
-  std::size_t num_events() const { return num_events_; }
-  std::size_t dim() const { return dim_; }
-  std::size_t size() const { return records_.size(); }
-  const InteractionRecord& record(std::size_t i) const {
-    FASEA_CHECK(i < records_.size());
-    return records_[i];
-  }
-
-  /// Appends one interaction; validates arrangement/feedback/context
-  /// shapes and event-id bounds.
-  Status Append(InteractionRecord record);
-
-  /// Total accepted events across the log.
-  std::int64_t TotalAccepted() const;
-
-  /// Feeds every record through `policy->Learn`, rebuilding its state.
-  /// `num_events`/`dim` are the dimensions of the instance the policy was
-  /// built for; a log recorded against a different instance shape fails
-  /// with kInvalidArgument before any record is applied.
-  Status Replay(Policy* policy, std::size_t num_events,
-                std::size_t dim) const;
-
-  /// Feeds a single record into `policy` the way Replay does, using
-  /// `scratch` as the |V|×d context buffer (must be num_events × dim).
-  /// Shared with the crash-recovery path, which interleaves learning with
-  /// capacity restoration.
-  static void FeedRecord(const InteractionRecord& record,
-                         std::size_t num_events, std::size_t dim,
-                         Policy* policy, RoundContext* scratch);
-
-  /// Shape/bounds validation of one record against this log's dimensions
-  /// — exactly the checks Append performs, without storing anything.
-  Status Validate(const InteractionRecord& record) const;
-
-  /// CSV round-trip. One row per arranged event:
-  ///   t,user_id,user_capacity,event,feedback,x0,x1,...,x{d-1}
-  std::string ToCsv() const;
-  static StatusOr<InteractionLog> FromCsv(std::string_view csv,
-                                          std::size_t num_events,
-                                          std::size_t dim);
-
- private:
-  std::size_t num_events_;
-  std::size_t dim_;
-  std::vector<InteractionRecord> records_;
-};
+/// Feeds one record into `policy->Learn`, using `scratch` as the |V|×d
+/// context buffer (must be num_events × dim): the arranged rows are
+/// scattered into an otherwise zero matrix. Shared by crash recovery and
+/// the offline evaluator.
+void FeedInteractionRecord(const InteractionRecord& record,
+                           std::size_t num_events, std::size_t dim,
+                           Policy* policy, RoundContext* scratch);
 
 /// Binary codec for one InteractionRecord — the payload format of WAL
 /// frames (little-endian, self-describing arrangement size and context

@@ -63,7 +63,7 @@ Status ScanAndClassify(Env* env, const std::string& wal_dir,
     if (report->had_checkpoint &&
         cumulative_observations + observations <= checkpoint_observations) {
       // Already inside the checkpoint: the policy knows this round;
-      // capacities, log, and round counter still need it.
+      // capacities and the round counter still need it.
       learn = false;
       ++report->records_restored;
     } else if (report->had_checkpoint &&
@@ -155,12 +155,14 @@ StatusOr<RecoveredService> RecoverArrangementService(
         instance, options.kind, options.params, options.seed);
   }
 
-  for (const ClassifiedRecord& classified : records) {
+  result.records.reserve(records.size());
+  for (ClassifiedRecord& classified : records) {
     if (Status st = result.service->RestoreInteraction(classified.record,
                                                        classified.learn);
         !st.ok()) {
       return st;
     }
+    result.records.push_back(std::move(classified.record));
   }
 
   // Verify the rebuilt sufficient statistics against the checkpoint

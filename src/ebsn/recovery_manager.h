@@ -8,8 +8,8 @@
 //      corruption is fatal (kDataLoss) or skipped-and-counted per
 //      CorruptFramePolicy.
 //   2. Records whose observations are already inside the checkpoint
-//      restore only platform state (capacities), the in-memory log, and
-//      the round counter; records past the checkpoint additionally
+//      restore only platform state (capacities) and the round counter;
+//      records past the checkpoint additionally
 //      replay policy learning. The boundary must fall exactly on a round
 //      boundary, and the WAL must reach the checkpoint's horizon —
 //      anything else is kDataLoss.
@@ -18,12 +18,15 @@
 //
 // The result is bit-identical to a service that ran uninterrupted
 // through the last durable record: same (Y, b), same rounds_served(),
-// same remaining capacities, same log.
+// same remaining capacities. With no checkpoint every record is replayed
+// through the same Learn calls into a fresh policy — the replay path
+// for a deployment that keeps only the WAL.
 #ifndef FASEA_EBSN_RECOVERY_MANAGER_H_
 #define FASEA_EBSN_RECOVERY_MANAGER_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ebsn/arrangement_service.h"
 #include "io/wal.h"
@@ -57,7 +60,7 @@ struct RecoveryReport {
   /// and the retry wrote the round again. Replaying once is exact.
   std::int64_t duplicate_frames_skipped = 0;
 
-  std::int64_t records_restored = 0;  // Pre-checkpoint: state/log only.
+  std::int64_t records_restored = 0;  // Pre-checkpoint: state only.
   std::int64_t records_replayed = 0;  // Post-checkpoint: learned too.
   std::int64_t observations_replayed = 0;
   std::int64_t rounds_served = 0;     // Final round counter.
@@ -68,6 +71,10 @@ struct RecoveryReport {
 struct RecoveredService {
   std::unique_ptr<ArrangementService> service;
   RecoveryReport report;
+  /// Every record recovery restored, in WAL (= round) order, after
+  /// duplicate frames collapsed: the durable round history, for callers
+  /// that audit it (the chaos harness checks it against its own ledger).
+  std::vector<InteractionRecord> records;
 };
 
 /// Restores a service from `checkpoint_blob` (empty → fresh policy from

@@ -44,18 +44,4 @@ ShardRouter::ShardRouter(const ProblemInstance* instance, int num_shards)
   }
 }
 
-int ShardRouter::HomeShard(std::int64_t user_id, std::int64_t arrival_index,
-                           ShardRoutingMode mode) const {
-  if (num_shards_ == 1) return 0;
-  switch (mode) {
-    case ShardRoutingMode::kRoundRobin:
-      return static_cast<int>(
-          ((arrival_index % num_shards_) + num_shards_) % num_shards_);
-    case ShardRoutingMode::kUserHash:
-      return JumpConsistentHash(
-          Mix64(static_cast<std::uint64_t>(user_id)), num_shards_);
-  }
-  return 0;
-}
-
 }  // namespace fasea

@@ -12,10 +12,10 @@
 // CrossShardEdges() and enforced at serve time by the sharded layer's
 // availability masks (see sharded_service.h).
 //
-// Arriving users are routed to a *home* (coordinator) shard either by
-// hashing the user id (per-user θ affinity, Remark 1 deployments) or
-// round-robin by arrival (the base FASEA setting keeps user_id at 0 for
-// every arrival, which would degenerate a hash route to one shard).
+// Arriving users are routed to a *home* (coordinator) shard round-robin
+// by arrival: the base FASEA setting keeps user_id at 0 for every
+// arrival, so a hash of the user id would route every round to one
+// shard.
 #ifndef FASEA_EBSN_SHARD_ROUTER_H_
 #define FASEA_EBSN_SHARD_ROUTER_H_
 
@@ -28,14 +28,6 @@
 #include "model/types.h"
 
 namespace fasea {
-
-enum class ShardRoutingMode {
-  /// Home shard cycles with the arrival index — even load under the
-  /// base setting's shared-θ arrivals. The default.
-  kRoundRobin,
-  /// Home shard = consistent hash of the user id (per-user affinity).
-  kUserHash,
-};
 
 class ShardRouter {
  public:
@@ -52,11 +44,12 @@ class ShardRouter {
     return owner_[v];
   }
 
-  /// Home (coordinator) shard for an arrival. `arrival_index` is the
-  /// global arrival counter; only one of the two inputs is consulted,
-  /// per `mode`.
-  int HomeShard(std::int64_t user_id, std::int64_t arrival_index,
-                ShardRoutingMode mode) const;
+  /// Home (coordinator) shard for an arrival: round-robin over the
+  /// global arrival counter `arrival_index`.
+  int HomeShard(std::int64_t arrival_index) const {
+    return static_cast<int>(((arrival_index % num_shards_) + num_shards_) %
+                            num_shards_);
+  }
 
   /// Local id of global event v within its owner's sub-instance.
   EventId LocalId(EventId v) const {

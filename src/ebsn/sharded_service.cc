@@ -654,9 +654,7 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   // The transaction's correlation id: deterministic, so recovery and
   // replay re-derive the same id from the txn alone.
   const std::uint64_t trace_id = Mix64(txn);
-  const int home =
-      router().HomeShard(user_id, static_cast<std::int64_t>(txn - 1),
-                         options_.routing);
+  const int home = router().HomeShard(static_cast<std::int64_t>(txn - 1));
   if (!shard_alive(home)) {
     return UnavailableError(
         StrFormat("home shard %d is down; retry (the next arrival routes "
@@ -700,13 +698,8 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
   // whatever a lost one did); the round goes on with fewer events.
   std::int64_t remaining =
       user_capacity - static_cast<std::int64_t>(chosen.size());
-  int budget = options_.max_participant_shards < 0
-                   ? options_.num_shards - 1
-                   : std::min(options_.max_participant_shards,
-                              options_.num_shards - 1);
   bool crossed = false;
-  for (int k = 1;
-       k < options_.num_shards && budget > 0 && remaining > 0; ++k) {
+  for (int k = 1; k < options_.num_shards && remaining > 0; ++k) {
     const int sid = (home + k) % options_.num_shards;
     if (!shard_alive(sid) || router().ShardEvents(sid).empty()) continue;
     const std::vector<std::uint8_t> mask = SpilloverMask(sid, chosen);
@@ -751,7 +744,6 @@ StatusOr<ShardedServeResult> ShardedArrangementService::ServeUser(
     }
     remaining -= static_cast<std::int64_t>(reply->global_events.size());
     pending.portions.push_back(std::move(portion));
-    --budget;
     crossed = true;
   }
   if (crossed) {
@@ -1054,13 +1046,10 @@ StatusOr<bool> ShardedArrangementService::LookupDecision(
 }
 
 void ShardedArrangementService::AppendObservations(
-    Shard& shard, const InteractionRecord& record) {
-  std::lock_guard<std::mutex> lock(shard.obs_mu);
+    const InteractionRecord& record, std::vector<Observation>* out) {
   for (std::size_t i = 0; i < record.arrangement.size(); ++i) {
-    Observation obs;
-    obs.context = record.contexts[i];
-    obs.reward = static_cast<double>(record.feedback[i]);
-    shard.obs.push_back(std::move(obs));
+    out->push_back(Observation{record.arrangement[i], record.contexts[i],
+                               static_cast<double>(record.feedback[i])});
   }
 }
 
@@ -1121,6 +1110,8 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
 
   std::map<std::uint64_t, InteractionRecord> decisions;
   std::map<std::uint64_t, ReservationRecord> in_doubt;
+  // The shard's observation buffer, rebuilt as each record is restored.
+  std::vector<Observation> obs;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const ShardFrame& frame = frames[i];
     switch (frame.kind) {
@@ -1144,6 +1135,7 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
             !st.ok()) {
           return st;
         }
+        AppendObservations(slice, &obs);
         break;
       }
       case ShardFrameKind::kReserve:
@@ -1183,6 +1175,7 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
             !st.ok()) {
           return st;
         }
+        AppendObservations(slice, &obs);
         ++report.portions_applied;
         break;
       }
@@ -1246,6 +1239,7 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
           !st.ok()) {
         return st;
       }
+      AppendObservations(slice, &obs);
       ++report.resolved_committed;
       resolved_committed_metric_->Increment();
     } else {
@@ -1260,9 +1254,9 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
   }
   report.rounds_served = service->rounds_served();
 
-  // Install the rebuilt shard. The observation buffer is re-derived from
-  // the recovered log; peer cursors clamp to its (possibly shorter)
-  // length — merged learner state is soft, the next merge re-syncs.
+  // Install the rebuilt shard. The observation buffer holds exactly the
+  // restored rows; peer cursors clamp to its (possibly shorter) length —
+  // merged learner state is soft, the next merge re-syncs.
   {
     std::lock_guard<std::mutex> lock(s.ledger_mu);
     s.decision_durable.clear();
@@ -1273,21 +1267,10 @@ StatusOr<ShardRecoveryReport> ShardedArrangementService::RecoverShard(
     s.open_reservations.clear();
     s.stage_rounds.clear();
   }
-  std::size_t obs_size = 0;
+  const std::size_t obs_size = obs.size();
   {
     std::lock_guard<std::mutex> lock(s.obs_mu);
-    s.obs.clear();
-    const InteractionLog& log = service->log();
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      const InteractionRecord& rec = log.record(i);
-      for (std::size_t j = 0; j < rec.arrangement.size(); ++j) {
-        Observation obs;
-        obs.context = rec.contexts[j];
-        obs.reward = static_cast<double>(rec.feedback[j]);
-        s.obs.push_back(std::move(obs));
-      }
-    }
-    obs_size = s.obs.size();
+    s.obs = std::move(obs);
   }
   {
     std::lock_guard<std::mutex> lock(merge_mu_);
@@ -1353,7 +1336,7 @@ Status ShardedArrangementService::ResolveInterrupted(
       }
     }
     if (committed) {
-      // The coordinator's own obs were rebuilt from its log; the round
+      // The coordinator's own obs were rebuilt from its WAL; the round
       // now counts as completed (its original caller saw kUnavailable).
       rounds_completed_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1657,7 +1640,10 @@ ShardedArrangementService::HandlePortion(int shard, std::uint64_t txn,
     s.stage_rounds.erase(txn);
     s.open_reservations.erase(txn);
   }
-  AppendObservations(s, request.record);
+  {
+    std::lock_guard<std::mutex> lock(s.obs_mu);
+    AppendObservations(request.record, &s.obs);
+  }
   return Ack{};
 }
 
@@ -1927,17 +1913,17 @@ StatusOr<RebalanceReport> ShardedArrangementService::Rebalance(
     moved.event = g;
     moved.consumed =
         instance_->capacity(g) - report.remaining_after_drain[g];
+    // The drain rebuilt each source's observation buffer from its WAL,
+    // in round order: the moved event's rows are the source learner's
+    // observations of it.
     const EventId local = router().LocalId(g);
-    const InteractionLog& log =
-        shards_[static_cast<std::size_t>(src)]->service->log();
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      const InteractionRecord& rec = log.record(i);
-      for (std::size_t j = 0; j < rec.arrangement.size(); ++j) {
-        if (rec.arrangement[j] != local) continue;
-        MigratedObservation obs;
-        obs.context = rec.contexts[j];
-        obs.reward = static_cast<double>(rec.feedback[j]);
-        moved.observations.push_back(std::move(obs));
+    const Shard& source = *shards_[static_cast<std::size_t>(src)];
+    {
+      std::lock_guard<std::mutex> lock(source.obs_mu);
+      for (const Observation& row : source.obs) {
+        if (row.event != local) continue;
+        moved.observations.push_back(
+            MigratedObservation{row.context, row.reward});
       }
     }
     MigrateRecord& record = transfers[{src, dst}];

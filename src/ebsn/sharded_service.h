@@ -4,9 +4,12 @@
 //
 // Events are partitioned across N shards (ShardRouter, consistent
 // hashing); each shard runs a WAL-less inner ArrangementService over its
-// *sub-instance* — its own policy, capacities, and interaction log over
-// the owned partition — so proposal scoring costs O(|V|/N · d²) per
-// round instead of O(|V| · d²). Every durability decision lives in this
+// *sub-instance* — its own policy and capacities over the owned
+// partition — so proposal scoring costs O(|V|/N · d²) per round instead
+// of O(|V| · d²). The shard's WAL is its round history; beside it the
+// shard keeps only an observation buffer (one learned row per arranged
+// event, rebuilt from the WAL at recovery) for delta-merge and
+// rebalancing. Every durability decision lives in this
 // layer: each shard has its own WAL segment directory
 // (`<base>/shard-000/…`), its own circuit breaker, and an independent
 // recovery path.
@@ -73,8 +76,9 @@
 //             equals durable state;
 //   transfer  each source shard's moved events are handed to their new
 //             owner as a MIGRATE WAL frame — consumed capacity plus the
-//             source learner's observation rows — stamped with the
-//             epoch the migration creates;
+//             source learner's observation rows, read from its
+//             observation buffer — stamped with the epoch the
+//             migration creates;
 //   flip      the new ShardRouter generation is installed and the
 //             rebalance epoch increments (frames written from here on
 //             carry it);
@@ -93,11 +97,11 @@
 // work).
 //
 // Learner delta-merge. Ridge state is additive (Y += x xᵀ, b += r x),
-// so shards periodically absorb each other's observation deltas via
-// rank-1 incremental updates (the PR 4 Cholesky path), with an exact
-// refactorization restart as the repair when a merged batch drifts the
-// factor (RidgeState::Refactorize). Merged state is soft: recovery
-// rebuilds a shard from its own WAL only, and the next merge re-syncs.
+// so shards periodically absorb each other's observation deltas, each
+// as one rank-k block with an exact re-derivation of the inverse (and
+// TS's factor) from Y (ArrangementService::AbsorbPeerObservations).
+// Merged state is soft: recovery rebuilds a shard from its own WAL
+// only, and the next merge re-syncs.
 //
 // Thread safety: ServeUser/SubmitFeedback are safe from any number of
 // threads. On the loopback they run in parallel: inner services
@@ -134,14 +138,9 @@ namespace fasea {
 
 struct ShardedOptions {
   int num_shards = 1;
-  ShardRoutingMode routing = ShardRoutingMode::kRoundRobin;
   PolicyKind kind = PolicyKind::kUcb;
   PolicyParams params;
   std::uint64_t seed = 0;
-  /// Shards beyond the home allowed to contribute to one round
-  /// (-1 = all others). Spillover only happens when the home partition
-  /// cannot fill the user's capacity.
-  int max_participant_shards = -1;
   /// Absorb peer observation deltas every this many completed rounds
   /// (0 disables the automatic cadence; MergeLearners() always works).
   std::int64_t merge_every = 0;
@@ -418,7 +417,7 @@ class ShardedArrangementService {
     std::int64_t local_round = 0;
     /// The capacity the inner service was asked to fill at this stage
     /// (the user's capacity minus everything chosen upstream). PORTION
-    /// frames must carry it so replay reproduces the inner log
+    /// frames must carry it so replay reproduces the inner rounds
     /// bit-identically.
     std::int64_t local_capacity = 0;
   };
@@ -433,7 +432,10 @@ class ShardedArrangementService {
     std::vector<Portion> portions;  // [0] is the home portion.
     bool busy = false;
   };
+  /// One learned row: an arranged event (its local id on the shard),
+  /// its context row and its 0/1 reward.
   struct Observation {
+    EventId event = 0;
     std::vector<double> context;
     double reward = 0.0;
   };
@@ -468,7 +470,10 @@ class ShardedArrangementService {
     /// Open stages keyed by txn (see StageEntry).
     std::map<std::uint64_t, StageEntry> stage_rounds;
 
-    // Delta-merge buffers.
+    // Every row the inner learner learned from its own rounds, in round
+    // order (committed live or restored by recovery): the delta-merge
+    // buffer peers read through cursors, and what Rebalance packages
+    // for a moved event.
     mutable std::mutex obs_mu;
     std::vector<Observation> obs;
   };
@@ -526,7 +531,9 @@ class ShardedArrangementService {
   /// loses it), else a read-only scan of its WAL.
   StatusOr<bool> LookupDecision(int coordinator, std::uint64_t txn,
                                 InteractionRecord* out);
-  void AppendObservations(Shard& shard, const InteractionRecord& record);
+  /// Appends one row per arranged event of `record` to `out`.
+  static void AppendObservations(const InteractionRecord& record,
+                                 std::vector<Observation>* out);
   void MaybeAutoMerge();
   Status ResolveInterrupted(int shard, ShardRecoveryReport* report);
   /// One drain/rebuild restart of a live shard (kill + recover +

@@ -151,9 +151,8 @@ OfflineEvalResult OfflineEvaluator::Evaluate(
     if (options.learn_from_log) {
       // The outcome record carries the exact context rows the behavior
       // learner consumed — bit-identical progressive replay.
-      InteractionLog::FeedRecord(outcome, instance_->num_events(),
-                                 instance_->dim(), candidate,
-                                 &learn_scratch);
+      FeedInteractionRecord(outcome, instance_->num_events(),
+                            instance_->dim(), candidate, &learn_scratch);
     }
     for (std::size_t i = 0; i < outcome.arrangement.size(); ++i) {
       if (outcome.feedback[i]) state.ConsumeOne(outcome.arrangement[i]);

@@ -1,5 +1,11 @@
 #include "ebsn/arrangement_service.h"
 
+#include <algorithm>
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
@@ -49,8 +55,17 @@ TEST(ArrangementServiceTest, ServeAndFeedbackHappyPath) {
   ASSERT_TRUE(service.SubmitFeedback(feedback).ok());
   EXPECT_FALSE(service.AwaitingFeedback());
   EXPECT_EQ(service.rounds_served(), 1);
-  EXPECT_EQ(service.log().size(), 1u);
-  EXPECT_EQ(service.log().TotalAccepted(),
+  // Every arranged event was accepted: one seat each, one observation
+  // each.
+  for (EventId v = 0; v < 3; ++v) {
+    const bool arranged = std::find(arrangement->begin(), arrangement->end(),
+                                    v) != arrangement->end();
+    EXPECT_EQ(service.state().remaining(v),
+              instance.capacity(v) - (arranged ? 1 : 0));
+  }
+  const auto* base = dynamic_cast<const LinearPolicyBase*>(&service.policy());
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base->ridge().num_observations(),
             static_cast<std::int64_t>(arrangement->size()));
 }
 
@@ -166,7 +181,7 @@ struct ServiceSnapshot {
   Matrix y;
   Vector b;
   std::vector<std::int64_t> remaining;
-  std::size_t log_size;
+  std::string checkpoint;  // Learner state and its observation count.
   std::int64_t rounds_served;
   bool awaiting_feedback;
 
@@ -177,7 +192,7 @@ struct ServiceSnapshot {
     ServiceSnapshot snap{base->ridge().Y(),
                          base->ridge().b(),
                          {},
-                         service.log().size(),
+                         service.Checkpoint(),
                          service.rounds_served(),
                          service.AwaitingFeedback()};
     for (EventId v = 0; v < 3; ++v) {
@@ -195,7 +210,7 @@ struct ServiceSnapshot {
     for (EventId v = 0; v < 3; ++v) {
       EXPECT_EQ(service.state().remaining(v), remaining[v]);
     }
-    EXPECT_EQ(service.log().size(), log_size);
+    EXPECT_EQ(service.Checkpoint(), checkpoint);
     EXPECT_EQ(service.rounds_served(), rounds_served);
     EXPECT_EQ(service.AwaitingFeedback(), awaiting_feedback);
   }
@@ -251,7 +266,11 @@ TEST(ArrangementServiceTest, ServeWhileAwaitingFeedbackLeavesRoundIntact) {
   ASSERT_TRUE(
       service.SubmitFeedback(Feedback(arrangement->size(), 0)).ok());
   EXPECT_EQ(service.rounds_served(), 1);
-  EXPECT_EQ(service.log().size(), 1u);
+  EXPECT_FALSE(service.AwaitingFeedback());
+  const auto* base = dynamic_cast<const LinearPolicyBase*>(&service.policy());
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base->ridge().num_observations(),
+            static_cast<std::int64_t>(arrangement->size()));
 }
 
 TEST(ArrangementServiceTest, ReServingAnAbortedRoundRepeatsItsArrangement) {
@@ -289,29 +308,65 @@ TEST(ArrangementServiceTest, ReServingAnAbortedRoundRepeatsItsArrangement) {
   }
 }
 
-TEST(ArrangementServiceTest, LogReplayMatchesLiveService) {
+/// True iff `a` and `b` hold the same doubles, bit for bit.
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBits(std::span<const double>(a.data(), a.rows() * a.cols()),
+                  std::span<const double>(b.data(), b.rows() * b.cols()));
+}
+
+TEST(ArrangementServiceTest, PeerDeltaMergeMatchesRankOneUpdatesBitForBit) {
+  // AbsorbPeerObservations folds a delta as one rank-k block. The
+  // reference folds the same observations one rank-1 Update at a time,
+  // in delta order, then re-derives the inverse and TS's factor from Y:
+  // the merged learner must equal it bit for bit.
   const ProblemInstance instance = MakeInstance();
-  ArrangementService service(&instance, PolicyKind::kUcb, PolicyParams{}, 1);
-  Pcg64 rng(8);
-  for (int round = 0; round < 10; ++round) {
-    auto arrangement = service.ServeUser(round % 3, 2, MakeContexts(rng));
-    ASSERT_TRUE(arrangement.ok());
-    Feedback feedback(arrangement->size());
-    for (auto& f : feedback) f = Bernoulli(rng, 0.6) ? 1 : 0;
-    ASSERT_TRUE(service.SubmitFeedback(feedback).ok());
+  for (PolicyKind kind : {PolicyKind::kUcb, PolicyKind::kTs}) {
+    SCOPED_TRACE(std::string(PolicyKindName(kind)));
+    ArrangementService service(&instance, kind, PolicyParams{}, 1);
+    Pcg64 rng(77);
+    for (int round = 0; round < 6; ++round) {
+      auto arrangement = service.ServeUser(round, 2, MakeContexts(rng));
+      ASSERT_TRUE(arrangement.ok());
+      Feedback feedback(arrangement->size());
+      for (auto& f : feedback) f = Bernoulli(rng, 0.5) ? 1 : 0;
+      ASSERT_TRUE(service.SubmitFeedback(feedback).ok());
+    }
+    const auto* base =
+        dynamic_cast<const LinearPolicyBase*>(&service.policy());
+    ASSERT_NE(base, nullptr);
+
+    std::vector<PeerObservation> delta(11);
+    for (PeerObservation& obs : delta) {
+      obs.context.resize(3);
+      for (double& x : obs.context) x = UniformReal(rng, -0.5, 0.5);
+      obs.reward = Bernoulli(rng, 0.5) ? 1.0 : 0.0;
+    }
+    RidgeState reference = base->ridge();
+    for (const PeerObservation& obs : delta) {
+      reference.Update(obs.context, obs.reward);
+    }
+    reference.Refactorize();
+
+    ASSERT_TRUE(service.AbsorbPeerObservations(delta).ok());
+    const RidgeState& merged = base->ridge();
+    EXPECT_EQ(merged.num_observations(), reference.num_observations());
+    EXPECT_TRUE(SameBits(merged.Y(), reference.Y()));
+    EXPECT_TRUE(SameBits(merged.b().span(), reference.b().span()));
+    EXPECT_TRUE(SameBits(merged.YInverse(), reference.YInverse()));
+    EXPECT_TRUE(
+        SameBits(merged.ThetaHat().span(), reference.ThetaHat().span()));
+    ASSERT_EQ(merged.keeps_factor(), kind == PolicyKind::kTs);
+    if (merged.keeps_factor()) {
+      EXPECT_TRUE(merged.factor_healthy());
+      EXPECT_TRUE(SameBits(merged.Factor().L(), reference.Factor().L()));
+    }
   }
-  // Rebuild a fresh policy from the CSV round-tripped log.
-  auto log = InteractionLog::FromCsv(service.log().ToCsv(), 3, 3);
-  ASSERT_TRUE(log.ok());
-  auto fresh = MakePolicy(PolicyKind::kUcb, &instance, PolicyParams{}, 1);
-  ASSERT_TRUE(log->Replay(fresh.get(), 3, 3).ok());
-  const auto* live =
-      dynamic_cast<const LinearPolicyBase*>(&service.policy());
-  const auto* rebuilt = dynamic_cast<LinearPolicyBase*>(fresh.get());
-  ASSERT_NE(live, nullptr);
-  ASSERT_NE(rebuilt, nullptr);
-  EXPECT_LT(rebuilt->ridge().Y().MaxAbsDiff(live->ridge().Y()), 1e-12);
-  EXPECT_LT(MaxAbsDiff(rebuilt->ridge().b(), live->ridge().b()), 1e-12);
 }
 
 TEST(ArrangementServiceTest, TelemetryCountsServesFeedbacksAndErrors) {

@@ -298,7 +298,7 @@ TEST(BatchedServingTest, OutOfOrderFeedbackCommitsCleanly) {
   ASSERT_TRUE(results[0].ok() && results[1].ok());
   EXPECT_EQ(service.pending_batched_rounds(), 2);
 
-  // Higher ticket first: commit order defines the round ids, so the log
+  // Higher ticket first: commit order defines the round ids, so the WAL
   // stays strictly increasing regardless of feedback arrival order.
   const int hi = results[0]->ticket > results[1]->ticket ? 0 : 1;
   FeedbackResult fb_hi, fb_lo;
@@ -316,7 +316,11 @@ TEST(BatchedServingTest, OutOfOrderFeedbackCommitsCleanly) {
   EXPECT_EQ(fb_hi.round, 1);
   EXPECT_EQ(fb_lo.round, 2);
   EXPECT_EQ(service.rounds_served(), 2);
-  EXPECT_EQ(service.log().size(), 2u);
+  const auto* base = dynamic_cast<const LinearPolicyBase*>(&service.policy());
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base->ridge().num_observations(),
+            static_cast<std::int64_t>(results[0]->arrangement.size() +
+                                      results[1]->arrangement.size()));
   EXPECT_EQ(service.pending_batched_rounds(), 0);
 }
 

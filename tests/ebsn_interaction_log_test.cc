@@ -27,33 +27,37 @@ InteractionRecord Record(std::int64_t t, std::int64_t user, std::int64_t cap,
   return record;
 }
 
-TEST(InteractionLogTest, AppendValidates) {
-  InteractionLog log(5, 3);
-  EXPECT_TRUE(log.Append(Record(1, 0, 2, {0, 1}, {1, 0}, 3)).ok());
-  EXPECT_EQ(log.size(), 1u);
+TEST(InteractionRecordTest, ValidateRejectsMalformedRecords) {
+  EXPECT_TRUE(
+      ValidateInteractionRecord(Record(1, 0, 2, {0, 1}, {1, 0}, 3), 5, 3)
+          .ok());
+  // An empty arrangement is a valid round (nothing was arranged).
+  EXPECT_TRUE(ValidateInteractionRecord(Record(2, 0, 2, {}, {}, 3), 5, 3)
+                  .ok());
   // Misaligned feedback.
-  EXPECT_FALSE(log.Append(Record(2, 0, 2, {0, 1}, {1}, 3)).ok());
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(2, 0, 2, {0, 1}, {1}, 3), 5, 3).ok());
   // Event id out of range.
-  EXPECT_FALSE(log.Append(Record(3, 0, 2, {9}, {1}, 3)).ok());
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(3, 0, 2, {9}, {1}, 3), 5, 3).ok());
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(3, 0, 2, {5}, {1}, 3), 5, 3).ok());
   // Arrangement larger than user capacity.
-  EXPECT_FALSE(log.Append(Record(4, 0, 1, {0, 1}, {1, 0}, 3)).ok());
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(4, 0, 1, {0, 1}, {1, 0}, 3), 5, 3)
+          .ok());
   // Bad feedback value.
-  EXPECT_FALSE(log.Append(Record(5, 0, 2, {0}, {2}, 3)).ok());
-  // Wrong context dimension.
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(5, 0, 2, {0}, {2}, 3), 5, 3).ok());
+  // Wrong context dimension, against the record and against the instance.
   InteractionRecord bad = Record(6, 0, 2, {0}, {1}, 3);
   bad.contexts[0].resize(2);
-  EXPECT_FALSE(log.Append(std::move(bad)).ok());
-  EXPECT_EQ(log.size(), 1u);
+  EXPECT_FALSE(ValidateInteractionRecord(bad, 5, 3).ok());
+  EXPECT_FALSE(
+      ValidateInteractionRecord(Record(7, 0, 2, {0}, {1}, 3), 5, 4).ok());
 }
 
-TEST(InteractionLogTest, TotalAccepted) {
-  InteractionLog log(4, 2);
-  ASSERT_TRUE(log.Append(Record(1, 0, 3, {0, 1, 2}, {1, 0, 1}, 2)).ok());
-  ASSERT_TRUE(log.Append(Record(2, 1, 1, {3}, {1}, 2)).ok());
-  EXPECT_EQ(log.TotalAccepted(), 3);
-}
-
-TEST(InteractionLogTest, ReplayRebuildsRidgeStateExactly) {
+TEST(InteractionRecordTest, FeedingRecordsRebuildsRidgeStateExactly) {
   const auto instance = ProblemInstance::Create(
       std::vector<std::int64_t>(6, 100), ConflictGraph(6), 4);
   ASSERT_TRUE(instance.ok());
@@ -61,7 +65,7 @@ TEST(InteractionLogTest, ReplayRebuildsRidgeStateExactly) {
   auto original = MakePolicy(PolicyKind::kUcb, &instance.value(), params, 1);
   auto replayed = MakePolicy(PolicyKind::kUcb, &instance.value(), params, 1);
 
-  InteractionLog log(6, 4);
+  std::vector<InteractionRecord> records;
   PlatformState state(*instance);
   Pcg64 rng(9);
   for (std::int64_t t = 1; t <= 30; ++t) {
@@ -87,96 +91,67 @@ TEST(InteractionLogTest, ReplayRebuildsRidgeStateExactly) {
       const auto row = round.contexts.Row(v);
       record.contexts.emplace_back(row.begin(), row.end());
     }
-    ASSERT_TRUE(log.Append(std::move(record)).ok());
+    ASSERT_TRUE(ValidateInteractionRecord(record, 6, 4).ok());
+    records.push_back(std::move(record));
   }
 
-  // Replay validates the log's shape against the instance first.
-  EXPECT_EQ(log.Replay(replayed.get(), 7, 4).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(log.Replay(replayed.get(), 6, 5).code(),
-            StatusCode::kInvalidArgument);
-  ASSERT_TRUE(log.Replay(replayed.get(), 6, 4).ok());
+  RoundContext scratch;
+  scratch.contexts = ContextMatrix(6, 4);
+  for (const InteractionRecord& record : records) {
+    FeedInteractionRecord(record, 6, 4, replayed.get(), &scratch);
+  }
   const auto* orig_base = dynamic_cast<LinearPolicyBase*>(original.get());
   const auto* repl_base = dynamic_cast<LinearPolicyBase*>(replayed.get());
   ASSERT_NE(orig_base, nullptr);
   ASSERT_NE(repl_base, nullptr);
   EXPECT_EQ(repl_base->ridge().num_observations(),
             orig_base->ridge().num_observations());
-  EXPECT_LT(repl_base->ridge().Y().MaxAbsDiff(orig_base->ridge().Y()),
-            1e-15);
-  EXPECT_LT(MaxAbsDiff(repl_base->ridge().b(), orig_base->ridge().b()),
-            1e-15);
+  EXPECT_EQ(repl_base->ridge().Y().MaxAbsDiff(orig_base->ridge().Y()), 0.0);
+  EXPECT_EQ(MaxAbsDiff(repl_base->ridge().b(), orig_base->ridge().b()), 0.0);
 }
 
-TEST(InteractionLogTest, CsvRoundTrip) {
-  InteractionLog log(5, 3);
-  ASSERT_TRUE(log.Append(Record(1, 7, 2, {0, 4}, {1, 0}, 3)).ok());
-  ASSERT_TRUE(log.Append(Record(2, 8, 1, {2}, {1}, 3)).ok());
-  ASSERT_TRUE(log.Append(Record(3, 9, 2, {}, {}, 3)).ok());  // Empty.
-  const std::string csv = log.ToCsv();
-
-  auto loaded = InteractionLog::FromCsv(csv, 5, 3);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 3u);
-  EXPECT_EQ(loaded->record(0).arrangement, (Arrangement{0, 4}));
-  EXPECT_EQ(loaded->record(0).feedback, (Feedback{1, 0}));
-  EXPECT_EQ(loaded->record(0).user_id, 7);
-  EXPECT_EQ(loaded->record(1).user_capacity, 1);
-  EXPECT_TRUE(loaded->record(2).arrangement.empty());
-  EXPECT_EQ(loaded->record(2).user_id, 9);
-  // Context values round-trip through text at full precision.
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_DOUBLE_EQ(loaded->record(0).contexts[0][j],
-                     log.record(0).contexts[0][j]);
+TEST(InteractionRecordTest, CodecRoundTripsEveryField) {
+  const std::vector<InteractionRecord> records = {
+      Record(1, 7, 2, {0, 4}, {1, 0}, 3), Record(2, 8, 1, {2}, {1}, 3),
+      Record(3, 9, 2, {}, {}, 3)};  // An empty arrangement too.
+  for (const InteractionRecord& record : records) {
+    const std::string encoded = EncodeInteractionRecord(record);
+    auto decoded = DecodeInteractionRecord(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->t, record.t);
+    EXPECT_EQ(decoded->user_id, record.user_id);
+    EXPECT_EQ(decoded->user_capacity, record.user_capacity);
+    EXPECT_EQ(decoded->arrangement, record.arrangement);
+    EXPECT_EQ(decoded->feedback, record.feedback);
+    EXPECT_EQ(decoded->contexts, record.contexts);  // Bit-exact doubles.
+    EXPECT_EQ(EncodeInteractionRecord(*decoded), encoded);
   }
-  EXPECT_EQ(loaded->TotalAccepted(), log.TotalAccepted());
 }
 
-TEST(InteractionLogTest, FromCsvRejectsMalformedInput) {
-  EXPECT_FALSE(InteractionLog::FromCsv("not a header\n1,2,3", 4, 2).ok());
-  // Wrong cell count for dim=2 (needs 7 cells).
-  EXPECT_FALSE(
-      InteractionLog::FromCsv("t,user_id,user_capacity,event,feedback,x0,x1\n"
-                              "1,0,2,0,1,0.5\n",
-                              4, 2)
-          .ok());
-  // Event out of range.
-  EXPECT_FALSE(
-      InteractionLog::FromCsv("t,user_id,user_capacity,event,feedback,x0,x1\n"
-                              "1,0,2,9,1,0.5,0.5\n",
-                              4, 2)
-          .ok());
-}
-
-TEST(InteractionLogTest, FuzzedCsvNeverCrashesTheParser) {
-  InteractionLog log(5, 3);
-  ASSERT_TRUE(log.Append(Record(1, 0, 2, {0, 1}, {1, 0}, 3)).ok());
-  ASSERT_TRUE(log.Append(Record(2, 1, 1, {4}, {1}, 3)).ok());
-  const std::string csv = log.ToCsv();
-
+TEST(InteractionRecordTest, FuzzedPayloadNeverCrashesTheDecoder) {
+  const std::string payload =
+      EncodeInteractionRecord(Record(1, 0, 2, {0, 1}, {1, 0}, 3));
   Pcg64 rng(555);
   for (int trial = 0; trial < 300; ++trial) {
-    std::string mutated = csv;
+    std::string mutated = payload;
     const int mode = static_cast<int>(rng.NextBounded(3));
     if (mode == 0) {
-      mutated.resize(rng.NextBounded(csv.size() + 1));
+      mutated.resize(rng.NextBounded(payload.size()));
     } else if (mode == 1) {
       const std::size_t pos = rng.NextBounded(mutated.size());
-      mutated[pos] = static_cast<char>(rng.NextBounded(128));
+      mutated[pos] = static_cast<char>(rng.NextBounded(256));
     } else {
-      mutated.insert(rng.NextBounded(mutated.size()), ",,,");
+      mutated.insert(rng.NextBounded(mutated.size()), "\xff\xff\xff");
     }
-    // Must return a Status or a (possibly shorter) log — never crash.
-    (void)InteractionLog::FromCsv(mutated, 5, 3);
+    // Either a structural kDataLoss or a record whose encoding is the
+    // mutated payload itself — never a crash or a huge allocation.
+    auto decoded = DecodeInteractionRecord(mutated);
+    if (decoded.ok()) {
+      EXPECT_EQ(EncodeInteractionRecord(*decoded), mutated);
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    }
   }
-  SUCCEED();
-}
-
-TEST(InteractionLogTest, FromCsvEmptyLogIsValid) {
-  auto loaded = InteractionLog::FromCsv(
-      "t,user_id,user_capacity,event,feedback,x0\n", 3, 1);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 0u);
 }
 
 }  // namespace

@@ -141,6 +141,7 @@ TEST(OverloadTest, InflightCapKeepsConcurrentDriveConsistent) {
   }
   const std::int64_t target = 200;
   std::atomic<std::int64_t> completed{0};
+  std::atomic<std::int64_t> arranged{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
@@ -164,6 +165,8 @@ TEST(OverloadTest, InflightCapKeepsConcurrentDriveConsistent) {
         const Status st = service.SubmitFeedback(feedback);
         EXPECT_TRUE(st.ok()) << st.ToString();
         if (!st.ok()) return;
+        arranged.fetch_add(static_cast<std::int64_t>(arrangement->size()),
+                           std::memory_order_relaxed);
         completed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -171,8 +174,11 @@ TEST(OverloadTest, InflightCapKeepsConcurrentDriveConsistent) {
   for (std::thread& worker : workers) worker.join();
 
   EXPECT_GE(service.rounds_served(), target);
-  EXPECT_EQ(static_cast<std::int64_t>(service.log().size()),
-            service.rounds_served());
+  EXPECT_EQ(service.rounds_served(), completed.load());
+  // Every served round was committed and learned from.
+  const auto* base = dynamic_cast<const LinearPolicyBase*>(&service.policy());
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base->ridge().num_observations(), arranged.load());
   EXPECT_FALSE(service.AwaitingFeedback());
   EXPECT_GE(service.rounds_shed(), 0);
 }

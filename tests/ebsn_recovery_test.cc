@@ -82,9 +82,13 @@ std::unique_ptr<WalWriter> OpenWal(Env* env, const std::string& dir) {
   return std::move(writer).value();
 }
 
-/// Asserts every piece of recoverable state matches bit-for-bit.
-void ExpectBitIdentical(const ArrangementService& recovered,
-                        const ArrangementService& reference) {
+/// Asserts every piece of recoverable state matches bit-for-bit, and the
+/// records recovery restored encode to exactly the frames the reference
+/// wrote to its own WAL in `reference_wal_dir`.
+void ExpectBitIdentical(const RecoveredService& restored,
+                        const ArrangementService& reference,
+                        const std::string& reference_wal_dir) {
+  const ArrangementService& recovered = *restored.service;
   EXPECT_EQ(Ridge(recovered).ridge().Y().MaxAbsDiff(
                 Ridge(reference).ridge().Y()),
             0.0);
@@ -97,8 +101,14 @@ void ExpectBitIdentical(const ArrangementService& recovered,
   for (EventId v = 0; v < 3; ++v) {
     EXPECT_EQ(recovered.state().remaining(v), reference.state().remaining(v));
   }
-  EXPECT_EQ(recovered.log().size(), reference.log().size());
-  EXPECT_EQ(recovered.log().ToCsv(), reference.log().ToCsv());
+  auto scan = ScanWal(Env::Default(), reference_wal_dir);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(restored.records.size(), scan->payloads.size());
+  for (std::size_t i = 0; i < restored.records.size(); ++i) {
+    EXPECT_EQ(EncodeInteractionRecord(restored.records[i]),
+              scan->payloads[i])
+        << "record " << i;
+  }
 }
 
 // --- The acceptance scenario: crash, torn tail, recovery ----------------
@@ -130,9 +140,12 @@ TEST(RecoveryTest, CrashRecoveryRoundTripIsBitIdentical) {
   ASSERT_TRUE(raw.ok());
   env.ArmReadCorruption(WalSegmentFileName(1), raw->size() - 1, 0x01);
 
-  // Uninterrupted reference: the same trajectory through round 29.
+  // Uninterrupted reference: the same trajectory through round 29, with
+  // its own WAL as the record of what it served.
+  const std::string reference_dir = FreshDir("recovery_roundtrip_reference");
   ArrangementService reference(&instance, PolicyKind::kUcb, PolicyParams{},
                                1);
+  reference.AttachWal(OpenWal(Env::Default(), reference_dir));
   Pcg64 reference_rng(42);
   RunRounds(reference, reference_rng, 29);
 
@@ -149,7 +162,7 @@ TEST(RecoveryTest, CrashRecoveryRoundTripIsBitIdentical) {
   EXPECT_EQ(report.records_replayed, 9);
   EXPECT_GT(report.bytes_truncated, 0);
   EXPECT_EQ(report.rounds_served, 29);
-  ExpectBitIdentical(*with_checkpoint->service, reference);
+  ExpectBitIdentical(*with_checkpoint, reference, reference_dir);
   EXPECT_FALSE(with_checkpoint->service->wal_attached());
 
   // Without a checkpoint every surviving record replays learning — the
@@ -159,7 +172,7 @@ TEST(RecoveryTest, CrashRecoveryRoundTripIsBitIdentical) {
   EXPECT_FALSE(from_scratch->report.had_checkpoint);
   EXPECT_EQ(from_scratch->report.records_replayed, 29);
   EXPECT_EQ(from_scratch->report.records_restored, 0);
-  ExpectBitIdentical(*from_scratch->service, reference);
+  ExpectBitIdentical(*from_scratch, reference, reference_dir);
 
   // The dry run (fasea_cli recover) agrees with the real recovery.
   auto inspected = InspectWal(&env, dir, checkpoint);
@@ -361,19 +374,22 @@ TEST(RecoveryTest, NonAdjacentDuplicateFramesCollapseOnReplay) {
     live.AttachWal(OpenWal(env, dir));
     Pcg64 rng(17);
     RunRounds(live, rng, 6);
-    ASSERT_EQ(live.log().size(), 6u);
+    auto scan = ScanWal(env, dir);
+    ASSERT_TRUE(scan.ok());
+    ASSERT_EQ(scan->payloads.size(), 6u);
     // Late retries of rounds 2 and 5 reach the log after round 6 — four
     // and one rounds away from their originals (a fresh segment, as a
     // post-reopen retry would use).
     auto writer = OpenWal(env, dir);
-    ASSERT_TRUE(
-        writer->Append(EncodeInteractionRecord(live.log().record(1))).ok());
-    ASSERT_TRUE(
-        writer->Append(EncodeInteractionRecord(live.log().record(4))).ok());
+    ASSERT_TRUE(writer->Append(scan->payloads[1]).ok());
+    ASSERT_TRUE(writer->Append(scan->payloads[4]).ok());
   }
 
+  const std::string reference_dir =
+      FreshDir("recovery_nonadjacent_dup_reference");
   ArrangementService reference(&instance, PolicyKind::kUcb, PolicyParams{},
                                1);
+  reference.AttachWal(OpenWal(env, reference_dir));
   Pcg64 reference_rng(17);
   RunRounds(reference, reference_rng, 6);
 
@@ -381,7 +397,7 @@ TEST(RecoveryTest, NonAdjacentDuplicateFramesCollapseOnReplay) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->report.duplicate_frames_skipped, 2);
   EXPECT_EQ(recovered->report.records_scanned, 6);
-  ExpectBitIdentical(*recovered->service, reference);
+  ExpectBitIdentical(*recovered, reference, reference_dir);
 }
 
 // --- Mid-file corruption: fail-fast vs skip-and-count -------------------
@@ -411,7 +427,9 @@ TEST(RecoveryTest, MidFileCorruptionFailsOrSkipsPerPolicy) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->report.corrupt_frames_skipped, 1);
   EXPECT_EQ(recovered->report.records_scanned, 2);
-  EXPECT_EQ(recovered->service->log().size(), 2u);
+  ASSERT_EQ(recovered->records.size(), 2u);
+  EXPECT_EQ(recovered->records[0].t, 2);  // Round 1's frame was skipped.
+  EXPECT_EQ(recovered->records[1].t, 3);
   EXPECT_EQ(recovered->service->rounds_served(), 3);  // Round ids survive.
 }
 
@@ -421,14 +439,14 @@ struct ServiceSnapshot {
   Matrix y;
   Vector b;
   std::vector<std::int64_t> remaining;
-  std::size_t log_size;
+  std::string checkpoint;  // Learner state and its observation count.
   std::int64_t rounds_served;
 
   static ServiceSnapshot Of(const ArrangementService& service) {
     ServiceSnapshot snap{Ridge(service).ridge().Y(),
                          Ridge(service).ridge().b(),
                          {},
-                         service.log().size(),
+                         service.Checkpoint(),
                          service.rounds_served()};
     for (EventId v = 0; v < 3; ++v) {
       snap.remaining.push_back(service.state().remaining(v));
@@ -442,7 +460,7 @@ struct ServiceSnapshot {
     for (EventId v = 0; v < 3; ++v) {
       EXPECT_EQ(service.state().remaining(v), remaining[v]);
     }
-    EXPECT_EQ(service.log().size(), log_size);
+    EXPECT_EQ(service.Checkpoint(), checkpoint);
     EXPECT_EQ(service.rounds_served(), rounds_served);
   }
 };
@@ -518,12 +536,15 @@ void CheckDegrade(Fault fault, const std::string& dir_name) {
 
   auto arrangement = service.ServeUser(1, 2, MakeContexts(rng));
   ASSERT_TRUE(arrangement.ok());
+  const std::int64_t observations = Ridge(service).ridge().num_observations();
   Arm(env, fault);
   ASSERT_TRUE(service.SubmitFeedback(Feedback(arrangement->size(), 1)).ok());
   EXPECT_TRUE(service.wal_degraded());
   EXPECT_EQ(service.wal_append_failures(), 1);
   EXPECT_EQ(service.rounds_served(), 2);
-  EXPECT_EQ(service.log().size(), 2u);
+  // The faulted round was applied all the same.
+  EXPECT_EQ(Ridge(service).ridge().num_observations(),
+            observations + static_cast<std::int64_t>(arrangement->size()));
 
   // Serving continues, without further WAL traffic.
   env.DisarmAll();

@@ -71,21 +71,49 @@ class SelfHealingTest : public ::testing::Test {
                                           round.user_capacity,
                                           round.contexts);
     if (!arrangement.ok()) return arrangement.status();
+    pending_round_ = &round;
+    pending_arrangement_ = *arrangement;
     pending_feedback_ =
         world_->feedback().Sample(1, round.contexts, *arrangement, rng_);
-    return service->SubmitFeedback(pending_feedback_, result);
+    return Resubmit(service, result);
   }
 
-  /// Resubmits the pending feedback after a retryable failure.
+  /// Resubmits the pending feedback after a retryable failure. Every
+  /// acknowledged round's record joins acked_, the test's own ledger.
   Status Resubmit(ArrangementService* service, FeedbackResult* result) {
-    return service->SubmitFeedback(pending_feedback_, result);
+    const Status st = service->SubmitFeedback(pending_feedback_, result);
+    if (st.ok()) {
+      InteractionRecord record;
+      record.t = result->round;
+      record.user_id = pending_round_->user_id;
+      record.user_capacity = pending_round_->user_capacity;
+      record.arrangement = pending_arrangement_;
+      record.feedback = pending_feedback_;
+      for (EventId v : pending_arrangement_) {
+        const auto row = pending_round_->contexts.Row(v);
+        record.contexts.emplace_back(row.begin(), row.end());
+      }
+      acked_.push_back(std::move(record));
+    }
+    return st;
   }
 
   std::unique_ptr<SyntheticWorld> world_;
   std::array<RoundContext, 8> ring_;
+  const RoundContext* pending_round_ = nullptr;
+  Arrangement pending_arrangement_;
   Feedback pending_feedback_;
+  std::vector<InteractionRecord> acked_;
   Pcg64 rng_{17, 17};
 };
+
+/// Round ids of `records`, in order.
+std::vector<std::int64_t> RoundIds(
+    const std::vector<InteractionRecord>& records) {
+  std::vector<std::int64_t> ids;
+  for (const InteractionRecord& record : records) ids.push_back(record.t);
+  return ids;
+}
 
 DurabilityPolicy BreakerPolicy(int threshold,
                                std::int64_t cooldown_ticks) {
@@ -156,10 +184,8 @@ TEST_F(SelfHealingTest, BreakerTripsDegradesAndHealsItself) {
   auto recovered = RecoverArrangementService(&world_->instance(), &env, dir,
                                              "", RecoveryOptions{});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ASSERT_EQ(recovered->service->log().size(), 3u);
-  EXPECT_EQ(recovered->service->log().record(0).t, 1);
-  EXPECT_EQ(recovered->service->log().record(1).t, 2);
-  EXPECT_EQ(recovered->service->log().record(2).t, 4);
+  EXPECT_EQ(RoundIds(recovered->records),
+            (std::vector<std::int64_t>{1, 2, 4}));
   EXPECT_EQ(recovered->service->rounds_served(), 4);
   // Both failed attempts at round 2 persisted a frame (one per segment);
   // the rescan collapses them to one.
@@ -170,7 +196,6 @@ TEST_F(SelfHealingTest, DegradeRecoverReattachRoundTrip) {
   FaultInjectionEnv env(Env::Default());
   const std::string dir = FreshDir("heal_degrade");
   const std::uint64_t policy_seed = 5;
-  std::vector<InteractionRecord> truth;
   {
     ArrangementService service(&world_->instance(), PolicyKind::kUcb,
                                PolicyParams{}, policy_seed);
@@ -206,9 +231,8 @@ TEST_F(SelfHealingTest, DegradeRecoverReattachRoundTrip) {
       EXPECT_TRUE(result.durable);
     }
     EXPECT_EQ(service.rounds_served(), 6);
-    for (std::size_t i = 0; i < service.log().size(); ++i) {
-      truth.push_back(service.log().record(i));
-    }
+    ASSERT_EQ(RoundIds(acked_),
+              (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6}));
   }  // Crash.
 
   RecoveryOptions options;
@@ -217,23 +241,26 @@ TEST_F(SelfHealingTest, DegradeRecoverReattachRoundTrip) {
                                              "", options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 
-  // The durable subset {1, 2, 5, 6} and nothing else.
-  ASSERT_EQ(recovered->service->log().size(), 4u);
-  const std::int64_t expected[] = {1, 2, 5, 6};
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(recovered->service->log().record(i).t, expected[i]);
+  // The durable subset {1, 2, 5, 6} and nothing else, each record the
+  // same bytes as the acknowledged one.
+  ASSERT_EQ(RoundIds(recovered->records),
+            (std::vector<std::int64_t>{1, 2, 5, 6}));
+  for (const InteractionRecord& record : recovered->records) {
+    EXPECT_EQ(EncodeInteractionRecord(record),
+              EncodeInteractionRecord(
+                  acked_[static_cast<std::size_t>(record.t - 1)]))
+        << "round " << record.t;
   }
   EXPECT_EQ(recovered->service->rounds_served(), 6);
 
   // Bit-identical to a shadow replay of exactly those rounds.
   ArrangementService shadow(&world_->instance(), PolicyKind::kUcb,
                             PolicyParams{}, policy_seed);
-  for (const InteractionRecord& record : truth) {
+  for (const InteractionRecord& record : acked_) {
     if (record.t == 3 || record.t == 4) continue;  // Lost, by design.
     ASSERT_TRUE(shadow.RestoreInteraction(record, /*learn=*/true).ok());
   }
   EXPECT_EQ(recovered->service->Checkpoint(), shadow.Checkpoint());
-  EXPECT_EQ(recovered->service->log().ToCsv(), shadow.log().ToCsv());
   for (EventId v = 0; v < world_->instance().num_events(); ++v) {
     EXPECT_EQ(recovered->service->state().remaining(v),
               shadow.state().remaining(v));
@@ -280,9 +307,7 @@ TEST_F(SelfHealingTest, FsyncFailureDuplicateFrameIsSkippedOnRecovery) {
                                              "", RecoveryOptions{});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->report.duplicate_frames_skipped, 1);
-  ASSERT_EQ(recovered->service->log().size(), 2u);
-  EXPECT_EQ(recovered->service->log().record(0).t, 1);
-  EXPECT_EQ(recovered->service->log().record(1).t, 2);
+  EXPECT_EQ(RoundIds(recovered->records), (std::vector<std::int64_t>{1, 2}));
   EXPECT_EQ(recovered->service->rounds_served(), 2);
 }
 

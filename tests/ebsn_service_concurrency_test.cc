@@ -1,8 +1,9 @@
 // Concurrency stress for the mutex-guarded serving path: many closed-loop
 // workers drive one ArrangementService; the protocol invariants (one
-// pending arrangement, round counter == applied feedbacks, log size ==
-// rounds) must hold and TSan must see no data races. tools/check.sh runs
-// this file under -DFASEA_SANITIZE=thread.
+// pending arrangement, round counter == applied feedbacks, the learner's
+// observations == arranged events, consumed seats == accepted events)
+// must hold and TSan must see no data races. tools/check.sh runs this
+// file under -DFASEA_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +20,26 @@ namespace {
 struct LoadResult {
   std::int64_t served = 0;
   std::int64_t contention = 0;
+  std::int64_t arranged = 0;  // Events proposed across committed rounds.
+  std::int64_t accepted = 0;
 };
+
+/// Observations the service's learner has folded in.
+std::int64_t Observations(const ArrangementService& service) {
+  const auto* base = dynamic_cast<const LinearPolicyBase*>(&service.policy());
+  FASEA_CHECK(base != nullptr);
+  return base->ridge().num_observations();
+}
+
+/// Seats consumed across every event of `instance`.
+std::int64_t SeatsConsumed(const ArrangementService& service,
+                           const ProblemInstance& instance) {
+  std::int64_t consumed = 0;
+  for (EventId v = 0; v < instance.num_events(); ++v) {
+    consumed += instance.capacity(v) - service.state().remaining(v);
+  }
+  return consumed;
+}
 
 /// Runs `threads` closed-loop workers against one service until
 /// `target_rounds` rounds have been served in total.
@@ -34,6 +54,8 @@ LoadResult DriveConcurrently(ArrangementService* service,
 
   std::atomic<std::int64_t> completed{0};
   std::atomic<std::int64_t> contention{0};
+  std::atomic<std::int64_t> arranged{0};
+  std::atomic<std::int64_t> accepted{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
@@ -57,12 +79,17 @@ LoadResult DriveConcurrently(ArrangementService* service,
         const Status st = service->SubmitFeedback(feedback);
         EXPECT_TRUE(st.ok()) << st.ToString();
         if (!st.ok()) return;
+        arranged.fetch_add(static_cast<std::int64_t>(arrangement->size()),
+                           std::memory_order_relaxed);
+        accepted.fetch_add(static_cast<std::int64_t>(NumAccepted(feedback)),
+                           std::memory_order_relaxed);
         completed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
-  return {completed.load(), contention.load()};
+  return {completed.load(), contention.load(), arranged.load(),
+          accepted.load()};
 }
 
 SyntheticConfig StressConfig() {
@@ -89,7 +116,8 @@ TEST(ServiceConcurrencyTest, ClosedLoopWorkersKeepProtocolConsistent) {
   EXPECT_GE(result.served, target);
   EXPECT_LT(result.served, target + 4);
   EXPECT_EQ(service.rounds_served(), result.served);
-  EXPECT_EQ(static_cast<std::int64_t>(service.log().size()), result.served);
+  EXPECT_EQ(Observations(service), result.arranged);
+  EXPECT_EQ(SeatsConsumed(service, (*world)->instance()), result.accepted);
   EXPECT_FALSE(service.AwaitingFeedback());
 }
 
@@ -140,6 +168,8 @@ TEST(ServiceConcurrencyTest, BatchedClosedLoopKeepsProtocolConsistent) {
 
   const std::int64_t target = 300;
   std::atomic<std::int64_t> completed{0};
+  std::atomic<std::int64_t> arranged{0};
+  std::atomic<std::int64_t> accepted{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
@@ -157,6 +187,11 @@ TEST(ServiceConcurrencyTest, BatchedClosedLoopKeepsProtocolConsistent) {
         const Status st =
             service.SubmitBatchedFeedback(served->ticket, feedback);
         ASSERT_TRUE(st.ok()) << st.ToString();
+        arranged.fetch_add(
+            static_cast<std::int64_t>(served->arrangement.size()),
+            std::memory_order_relaxed);
+        accepted.fetch_add(static_cast<std::int64_t>(NumAccepted(feedback)),
+                           std::memory_order_relaxed);
         completed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -165,8 +200,8 @@ TEST(ServiceConcurrencyTest, BatchedClosedLoopKeepsProtocolConsistent) {
 
   EXPECT_GE(completed.load(), target);
   EXPECT_EQ(service.rounds_served(), completed.load());
-  EXPECT_EQ(static_cast<std::int64_t>(service.log().size()),
-            completed.load());
+  EXPECT_EQ(Observations(service), arranged.load());
+  EXPECT_EQ(SeatsConsumed(service, (*world)->instance()), accepted.load());
   EXPECT_EQ(service.pending_batched_rounds(), 0);
 }
 

@@ -130,23 +130,11 @@ TEST(ShardRouterTest, SingleShardOwnsEverything) {
   EXPECT_EQ(router.SubInstance(0).num_events(), instance.num_events());
 }
 
-TEST(ShardRouterTest, RoundRobinHomesCycleAndUserHashSticks) {
+TEST(ShardRouterTest, RoundRobinHomesCycle) {
   const ProblemInstance instance = MakeInstance(16);
   const ShardRouter router(&instance, 4);
   for (std::int64_t arrival = 0; arrival < 12; ++arrival) {
-    EXPECT_EQ(router.HomeShard(/*user_id=*/0, arrival,
-                               ShardRoutingMode::kRoundRobin),
-              static_cast<int>(arrival % 4));
-  }
-  // kUserHash ignores the arrival index entirely — per-user affinity.
-  for (std::int64_t user = 0; user < 8; ++user) {
-    const int home =
-        router.HomeShard(user, /*arrival_index=*/0, ShardRoutingMode::kUserHash);
-    EXPECT_GE(home, 0);
-    EXPECT_LT(home, 4);
-    EXPECT_EQ(router.HomeShard(user, /*arrival_index=*/99,
-                               ShardRoutingMode::kUserHash),
-              home);
+    EXPECT_EQ(router.HomeShard(arrival), static_cast<int>(arrival % 4));
   }
 }
 

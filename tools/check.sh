@@ -17,7 +17,9 @@
 #   tools/check.sh --replay-smoke   # also record + counterfactually replay
 #                                   # a decision log (IPS self-check)
 #   tools/check.sh --load-smoke     # also drive bench/load_service through
-#                                   # the sequential and batched protocols
+#                                   # the sequential and batched protocols,
+#                                   # and check that 10x the rounds leaves
+#                                   # peak RSS within 1.10x
 #   tools/check.sh --scale-smoke    # also run the bounded-scale parity
 #                                   # bench (lazy-vs-eager, unit-epoch) and
 #                                   # small tab5/tab6 bounded-scale slices;
@@ -183,10 +185,10 @@ if [[ "$load_smoke" -eq 1 ]]; then
   echo
   echo "== load smoke: sequential + batched serving under load =="
   # A short closed-loop run through each protocol. load_service exits
-  # non-zero when any serving invariant is violated (rounds served !=
-  # feedbacks applied, log size mismatch, pending rounds left behind),
-  # so the exit code is the verdict; the grep additionally pins a
-  # nonzero throughput line into the check output.
+  # non-zero when any serving invariant is violated (completed rounds !=
+  # the service's rounds_served(), batched rounds left pending, fewer
+  # rounds than asked), so the exit code is the verdict; the grep
+  # additionally pins a nonzero throughput line into the check output.
   for mode in "" "--batched"; do
     # shellcheck disable=SC2086  # $mode is intentionally word-split.
     "$root/build/bench/load_service" --threads=4 --rounds=2000 \
@@ -194,6 +196,35 @@ if [[ "$load_smoke" -eq 1 ]]; then
       | tee "$root/build/load_smoke.out"
     grep -Eq 'throughput +[1-9]' "$root/build/load_smoke.out"
     grep -Eq 'invariant violations +0' "$root/build/load_smoke.out"
+  done
+  # Bounded memory: the service keeps no per-round history (the WAL is
+  # the only one), so serving 10x the rounds must not raise the peak
+  # RSS by more than 10%.
+  for mode in "" "--batched"; do
+    for rounds in 20000 200000; do
+      # shellcheck disable=SC2086  # $mode is intentionally word-split.
+      "$root/build/bench/load_service" --threads=1 --rounds="$rounds" \
+        --num_events=50 --dim=8 $mode >"$root/build/load_rss_$rounds.out"
+    done
+    python3 - "$root/build/load_rss_20000.out" \
+      "$root/build/load_rss_200000.out" "${mode:-sequential}" <<'PY'
+import re
+import sys
+
+def peak_mb(path):
+    with open(path) as f:
+        match = re.search(r"peak RSS +([0-9.]+) MB", f.read())
+    assert match, f"no peak RSS line in {path}"
+    return float(match.group(1))
+
+short, long_, mode = peak_mb(sys.argv[1]), peak_mb(sys.argv[2]), sys.argv[3]
+assert long_ <= 1.10 * short, (
+    f"load smoke ({mode}): peak RSS grew from {short:.1f} MB at 20k rounds "
+    f"to {long_:.1f} MB at 200k (> 1.10x): does the service keep "
+    f"per-round history?")
+print(f"load smoke ({mode}): peak RSS {short:.1f} MB at 20k rounds, "
+      f"{long_:.1f} MB at 200k ({long_ / short:.2f}x) OK")
+PY
   done
   echo "load smoke: both protocols clean"
 fi
