@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/flags.h"
 #include "common/retry.h"
 #include "common/stopwatch.h"
@@ -97,6 +98,11 @@ MemoryUsage ReadMemoryUsage() {
   // Linux reports ru_maxrss in KiB.
   return {static_cast<double>(usage.ru_maxrss) / 1024.0,
           static_cast<std::int64_t>(usage.ru_minflt)};
+}
+
+/// The SIMD tier the scoring and learner kernels run at.
+const char* KernelTierName() {
+  return fasea::SimdTierName(fasea::HostSimdTier()).data();
 }
 
 /// Prints the peak RSS and the minor faults per 1000 of `rounds` since
@@ -245,10 +251,10 @@ int RunShardedLoad(fasea::SyntheticWorld& world,
   }
 
   std::printf("load_service: %d worker(s), %lld rounds, %d shard(s), "
-              "|V|=%zu, d=%zu, wal=%s\n",
+              "|V|=%zu, d=%zu, wal=%s, kernels=%s\n",
               threads, static_cast<long long>(target_rounds), shards,
               config.num_events, config.dim,
-              wal_dir.empty() ? "off" : "on");
+              wal_dir.empty() ? "off" : "on", KernelTierName());
 
   std::atomic<std::int64_t> completed{0};
   std::atomic<bool> aborted{false};
@@ -479,12 +485,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("load_service: %d worker(s), %lld rounds (+%lld warmup), "
-              "policy=%s, mode=%s, |V|=%zu, d=%zu, wal=%s\n",
+              "policy=%s, mode=%s, |V|=%zu, d=%zu, wal=%s, kernels=%s\n",
               threads, static_cast<long long>(target_rounds),
               static_cast<long long>(warmup_rounds),
               flags.GetString("policy").c_str(),
               batched ? "batched" : "sequential", config.num_events,
-              config.dim, service.wal_attached() ? "on" : "off");
+              config.dim, service.wal_attached() ? "on" : "off",
+              KernelTierName());
 
   std::int64_t warmup_served = 0;
   if (warmup_rounds > 0) {

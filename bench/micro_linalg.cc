@@ -3,10 +3,13 @@
 // Sherman–Morrison, and MVN sampling.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/epoch_ridge.h"
 #include "core/ridge.h"
 #include "linalg/cholesky.h"
 #include "linalg/frequent_directions.h"
+#include "linalg/kernel_table.h"
 #include "linalg/kernels.h"
 #include "linalg/mvn.h"
 #include "linalg/sherman_morrison.h"
@@ -183,6 +186,60 @@ void BM_WidthScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WidthScalar) FASEA_BATCH_ARGS FASEA_SERVING_WIDTH_ARGS;
+
+// --- The same kernels at every SIMD tier the host supports
+// (kernel_table.h), registered as BM_WidthBatchTier_<tier>/n/d and
+// BM_ShermanMorrisonTier_<tier>/d. BM_WidthBatch above runs the active
+// tier; tools/check.sh --perf-smoke compares it with the SSE2 row.
+
+void BM_WidthBatchTier(benchmark::State& state, const KernelTable* tier) {
+  Pcg64 rng(9);  // Same stream as BM_WidthBatch: identical inputs.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const Matrix contexts = RandomContexts(n, d, rng);
+  const Matrix y_inv = RandomSpd(d, rng);
+  std::vector<double> out(n);
+  Matrix at;
+  for (auto _ : state) {
+    TransposeInto(y_inv, &at);
+    tier->batched_quad_form_pre(contexts.data(), n, at.data(), d, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+
+// SymmetricInverse::RankOneUpdate's steps at one tier: Y += xxᵀ,
+// u = Y⁻¹x, Y⁻¹ -= uuᵀ / (1 + xᵀu).
+void BM_ShermanMorrisonTier(benchmark::State& state,
+                            const KernelTable* tier) {
+  Pcg64 rng(5);  // Same stream as BM_ShermanMorrisonUpdate.
+  const std::size_t d = static_cast<std::size_t>(state.range(0));
+  Matrix y = Matrix::Identity(d), y_inv = Matrix::Identity(d);
+  const Vector x = RandomVector(d, rng);
+  Vector u(d);
+  for (auto _ : state) {
+    tier->add_outer(1.0, x.data(), d, y.data());
+    y_inv.MatVec(x.span(), u.span());
+    const double denom = 1.0 + Dot(x.span(), u.span());
+    tier->add_outer(-1.0 / denom, u.data(), d, y_inv.data());
+    benchmark::DoNotOptimize(y_inv.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+const bool kTierBenchmarks = [] {
+  for (SimdTier tier : kAllSimdTiers) {
+    const KernelTable* table = KernelTableFor(tier);
+    if (table == nullptr) continue;
+    const std::string name(SimdTierName(tier));
+    benchmark::RegisterBenchmark(("BM_WidthBatchTier_" + name).c_str(),
+                                 BM_WidthBatchTier, table)
+        ->Args({100, 16})->Args({12, 16})->Args({1, 15});
+    benchmark::RegisterBenchmark(("BM_ShermanMorrisonTier_" + name).c_str(),
+                                 BM_ShermanMorrisonTier, table)
+        ->Arg(16)->Arg(100);
+  }
+  return true;
+}();
 
 void BM_CholUpdate(benchmark::State& state) {
   // The O(d²) incremental factor update; BM_CholeskyFactorize at the same

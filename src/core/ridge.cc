@@ -94,7 +94,7 @@ void RidgeState::RefactorizeFactor() {
 
 const Vector& RidgeState::ThetaHat() const {
   if (theta_dirty_) {
-    theta_hat_ = inverse_.inverse().MatVec(b_);
+    inverse_.inverse().MatVec(b_.span(), theta_hat_.span());
     theta_dirty_ = false;
   }
   return theta_hat_;

@@ -61,7 +61,7 @@ class RidgeState {
   /// vs k separate O(d²) Sherman–Morrison (+ factor) updates.
   void ApplyBlock(const Matrix& x_block, std::span<const double> rewards);
 
-  /// θ̂ = Y⁻¹ b, cached until the next Update.
+  /// θ̂ = Y⁻¹ b, cached until the next Update (recomputed in place).
   const Vector& ThetaHat() const;
 
   /// x ᵀ θ̂ — the estimated expected reward of a context.

@@ -1,6 +1,13 @@
 #include "io/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#include "common/cpu_features.h"
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace fasea {
 
@@ -32,7 +39,7 @@ constexpr Tables kTables;
 
 }  // namespace
 
-std::uint32_t Crc32c(std::string_view data, std::uint32_t init) {
+std::uint32_t Crc32cTable(std::string_view data, std::uint32_t init) {
   std::uint32_t crc = ~init;
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   std::size_t n = data.size();
@@ -50,6 +57,36 @@ std::uint32_t Crc32c(std::string_view data, std::uint32_t init) {
     crc = (crc >> 8) ^ kTables.t[0][(crc ^ *p++) & 0xFF];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+// The CRC32 instruction is the table's byte step (reflected Castagnoli,
+// no inversion), eight bytes at a time; words load little-endian.
+[[gnu::target("sse4.2")]] std::uint32_t Crc32cSse42(std::string_view data,
+                                                   std::uint32_t init) {
+  std::uint64_t crc = ~init;
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; ++p, --n) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*p));
+  }
+  return ~crc32;
+}
+#else
+std::uint32_t Crc32cSse42(std::string_view data, std::uint32_t init) {
+  return Crc32cTable(data, init);
+}
+#endif
+
+std::uint32_t Crc32c(std::string_view data, std::uint32_t init) {
+  static const bool sse42 = HostHasSse42();
+  return sse42 ? Crc32cSse42(data, init) : Crc32cTable(data, init);
 }
 
 std::uint32_t MaskCrc32c(std::uint32_t crc) {

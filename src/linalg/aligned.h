@@ -14,7 +14,7 @@
 namespace fasea {
 
 /// Alignment of every Vector/Matrix buffer, in bytes. One x86 cache line;
-/// also the widest vector register (AVX-512) a -march=native build can use.
+/// also the widest vector register, the AVX-512F kernel tier's.
 inline constexpr std::size_t kLinalgAlignment = 64;
 
 template <typename T>

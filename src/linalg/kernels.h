@@ -1,4 +1,4 @@
-// Batched, blocked, SIMD-friendly kernels for the bandit scoring hot path.
+// Batched, blocked, SIMD kernels for the bandit scoring hot path.
 //
 // The paper's per-round cost is O(d³ + |V|·d²): every policy scores |V|
 // events, UCB pays a d×d quadratic form per event, and TS re-factorizes
@@ -15,15 +15,20 @@
 //  * BatchedQuadFormPre computes each context row's G row x·Aᵀ with that
 //    kernel (the explicit transpose makes each output's accumulation
 //    order Matrix::QuadraticForm's row-major one), then the O(d)
-//    row-dot in scalar order.
+//    row-dots in scalar order, one independent sum per row of a block.
 //  * GemvRows keeps each row's reduction sequential but interleaves four
 //    independent rows, breaking the add-latency dependency chain that
 //    makes one long dot product latency-bound.
 //  * CholUpdate maintains L(Y + xxᵀ) from L(Y) in O(d²) via Givens-style
 //    rotations, replacing the O(d³) per-round re-factorization in TS.
 //
-// Every product must round alike in a kernel and its scalar reference,
-// so FMA-capable builds compile with -ffp-contract=off (CMakeLists.txt).
+// The width-sensitive kernels (GemmAccumulate, Gemm, BatchedQuadFormPre
+// and Matrix::AddOuter) have one body per vector width — SSE2, AVX2 and
+// AVX-512F on x86-64 — and run the widest one the host supports, picked
+// once per process (kernel_table.h). One build therefore computes the
+// same bytes on any x86-64 host, at that host's width. Every product
+// must round alike in each tier and in the scalar references, so the
+// library compiles with -ffp-contract=off (src/CMakeLists.txt).
 //
 // All pointer kernels require non-aliasing arguments (FASEA_RESTRICT).
 #ifndef FASEA_LINALG_KERNELS_H_
@@ -52,9 +57,10 @@ void GemvRows(const Matrix& a, std::span<const double> x,
 void TransposeInto(const Matrix& a, Matrix* out);
 
 /// c += a · b (c must be pre-shaped a.rows() × b.cols() — zero it first
-/// for a plain product), in 2-row × 8-column register tiles; each c(i,j)
-/// adds its k-terms in sequential k-order onto its prior value, exactly
-/// as the scalar triple loop does.
+/// for a plain product), in register tiles of the active tier (2 rows × 8
+/// columns on SSE2, 4 × 8 on AVX2, 4 × 16 on AVX-512F); each c(i,j) adds
+/// its k-terms in sequential k-order onto its prior value, exactly as the
+/// scalar triple loop does.
 void GemmAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// c = a · b — the plain GEMM entry (reshapes and zeroes `c`, then runs

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/strings.h"
+#include "linalg/kernel_table.h"
+#include "linalg/kernels.h"
 
 namespace fasea {
 
@@ -19,11 +21,7 @@ void Matrix::Fill(double value) {
 
 void Matrix::AddOuter(double alpha, std::span<const double> x) {
   FASEA_CHECK(rows_ == cols_ && x.size() == rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double axi = alpha * x[i];
-    double* row = data_.data() + i * cols_;
-    for (std::size_t j = 0; j < cols_; ++j) row[j] += axi * x[j];
-  }
+  ActiveKernels().add_outer(alpha, x.data(), rows_, data_.data());
 }
 
 void Matrix::AddScaled(double alpha, const Matrix& other) {
@@ -34,13 +32,7 @@ void Matrix::AddScaled(double alpha, const Matrix& other) {
 }
 
 void Matrix::MatVec(std::span<const double> x, std::span<double> y) const {
-  FASEA_CHECK(x.size() == cols_ && y.size() == rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* row = data_.data() + i * cols_;
-    double sum = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) sum += row[j] * x[j];
-    y[i] = sum;
-  }
+  GemvRows(*this, x, y);
 }
 
 Vector Matrix::MatVec(const Vector& x) const {

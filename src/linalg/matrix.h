@@ -54,13 +54,16 @@ class Matrix {
 
   void Fill(double value);
 
-  /// this += alpha * x xᵀ (x must have size == rows == cols).
+  /// this += alpha * x xᵀ (x must have size == rows == cols and must not
+  /// alias this matrix). Runs the active SIMD tier's kernel
+  /// (kernel_table.h); every element rounds as (alpha·x_i)·x_j added once.
   void AddOuter(double alpha, std::span<const double> x);
 
   /// this += alpha * other (same shape).
   void AddScaled(double alpha, const Matrix& other);
 
-  /// y = this * x.
+  /// y = this * x, four rows at a time through GemvRows (kernels.h); each
+  /// row sums in sequential j-order, as Dot() does.
   Vector MatVec(const Vector& x) const;
   void MatVec(std::span<const double> x, std::span<double> y) const;
 

@@ -29,9 +29,8 @@
 //    the unsharded harness at --threads=1 under four fault schedules, and
 //    the 4-shard harness under each kill mode and three schedules.
 //
-// The table pins the default portable build. Under FASEA_NATIVE_ARCH
-// (-march=native) the bits legitimately differ (DESIGN.md §9), so there
-// the test only checks that 1 and 4 threads agree.
+// The table pins every build on every x86-64 host: the SIMD kernel tier
+// the host runs (linalg/kernel_table.h) changes speed, not bits.
 //
 // A change that moves bytes on purpose regenerates the table with
 //
@@ -439,10 +438,6 @@ TEST(GoldenTest, SeededOutputsMatchTheCommittedTable) {
     GTEST_SKIP() << "wrote " << computed.size() << " digests to "
                  << kTablePath;
   }
-#ifdef FASEA_GOLDEN_NATIVE_ARCH
-  GTEST_SKIP() << "-march=native build: bits differ from the portable "
-                  "table; only thread-count invariance was checked";
-#endif
   const Digests table = ReadTable();
   ASSERT_FALSE(table.empty()) << "no golden table at " << kTablePath;
   for (const auto& [key, crc] : table) {

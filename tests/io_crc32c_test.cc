@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "common/cpu_features.h"
+
 namespace fasea {
 namespace {
 
@@ -32,6 +34,29 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
     const std::uint32_t first = Crc32c(data.substr(0, split));
     EXPECT_EQ(Crc32c(data.substr(split), first), Crc32c(data))
         << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, BothBodiesAgreeOnEveryLengthAndAlignment) {
+  // Lengths 0-300 cover every word count and byte tail of the SSE4.2
+  // body; offsets 0-8 start the words at every alignment; a non-zero
+  // init checks the pre- and post-inversion.
+  std::string buffer(320, '\0');
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>((i * 131 + 7) ^ (i >> 3));
+  }
+  EXPECT_EQ(Crc32cTable("123456789", 0), 0xE3069283u);
+  if (!HostHasSse42()) GTEST_SKIP() << "no SSE4.2 CRC32 on this host";
+  EXPECT_EQ(Crc32cSse42("123456789", 0), 0xE3069283u);
+  for (std::size_t offset = 0; offset <= 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      for (std::uint32_t init : {0u, 0x9E3779B9u}) {
+        ASSERT_EQ(Crc32cSse42(data, init), Crc32cTable(data, init))
+            << "offset " << offset << " length " << length << " init "
+            << init;
+      }
+    }
   }
 }
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "common/status.h"
+#include "common/strings.h"
 #include "model/context.h"
 #include "model/instance.h"
 #include "model/platform_state.h"
@@ -98,6 +104,77 @@ TEST(RoundContextTest, ValidationRejectsOverlongContexts) {
   round.contexts(0, 1) = 0.9;  // Norm ≈ 1.27 > 1.
   round.user_capacity = 1;
   EXPECT_FALSE(ValidateRoundContext(round, 1, 2).ok());
+}
+
+// The pre-interleave validator: one row at a time, each summing its
+// squares in sequential j-order. ValidateRoundContext must return its
+// exact verdict, event index and message.
+Status SerialScan(const RoundContext& round, std::size_t num_events) {
+  for (std::size_t v = 0; v < num_events; ++v) {
+    double norm_sq = 0.0;
+    for (double x : round.contexts.Row(v)) {
+      if (!std::isfinite(x)) {
+        return InvalidArgumentError(StrFormat(
+            "context of event %zu contains a non-finite value", v));
+      }
+      norm_sq += x * x;
+    }
+    if (norm_sq > 1.0 + 1e-9) {
+      return InvalidArgumentError(StrFormat(
+          "context of event %zu has norm %.6f > 1", v, std::sqrt(norm_sq)));
+    }
+  }
+  return Status::Ok();
+}
+
+TEST(RoundContextTest, GroupedValidationMatchesSerialScanAtEveryPosition) {
+  // |V| = 4k + 3: two full 4-row groups, then a 3-row tail.
+  constexpr std::size_t kEvents = 11, kDim = 5;
+  constexpr double kClean = 0.2;  // A clean row has norm² 5·0.04 = 0.2.
+  // 1 + 2e-9 fails the 1 + 1e-9 tolerance; spread evenly, it rounds to a
+  // norm² just above the bound.
+  const double just_over = std::sqrt((1.0 + 2e-9) / kDim);
+  const struct {
+    const char* name;
+    std::vector<double> row;  // Replaces the row; empty = poke one entry.
+    double poke;
+  } kBad[] = {
+      {"NaN", {}, std::numeric_limits<double>::quiet_NaN()},
+      {"+inf", {}, std::numeric_limits<double>::infinity()},
+      {"overflowing square", {}, 1e200},
+      {"norm² 1+2e-9", std::vector<double>(kDim, just_over), 0.0},
+  };
+  for (const auto& bad : kBad) {
+    for (std::size_t v = 0; v < kEvents; ++v) {
+      for (std::size_t j : {std::size_t{0}, kDim - 1}) {
+        RoundContext round;
+        round.user_capacity = 1;
+        round.contexts = Matrix(kEvents, kDim);
+        round.contexts.Fill(kClean);
+        if (bad.row.empty()) {
+          round.contexts(v, j) = bad.poke;
+        } else {
+          for (std::size_t c = 0; c < kDim; ++c) {
+            round.contexts(v, c) = bad.row[c];
+          }
+        }
+        // A second bad row later must not win over the first.
+        if (v + 2 < kEvents) round.contexts(v + 2, 0) = 5.0;
+        const Status expected = SerialScan(round, kEvents);
+        ASSERT_FALSE(expected.ok()) << bad.name;
+        const Status actual = ValidateRoundContext(round, kEvents, kDim);
+        EXPECT_EQ(actual.code(), expected.code()) << bad.name << " at " << v;
+        EXPECT_EQ(actual.message(), expected.message())
+            << bad.name << " at event " << v << ", column " << j;
+      }
+    }
+  }
+  RoundContext clean;
+  clean.user_capacity = 1;
+  clean.contexts = Matrix(kEvents, kDim);
+  clean.contexts.Fill(kClean);
+  EXPECT_TRUE(SerialScan(clean, kEvents).ok());
+  EXPECT_TRUE(ValidateRoundContext(clean, kEvents, kDim).ok());
 }
 
 TEST(RoundContextTest, AvailabilityDefaultsToAll) {

@@ -9,9 +9,10 @@
 #
 #   tools/check.sh                  # plain + ASan/UBSan + TSan tiers
 #   tools/check.sh --metrics-smoke  # also smoke-test `fasea_cli stats`
-#   tools/check.sh --native         # plain tier with -DFASEA_NATIVE_ARCH=ON
-#   tools/check.sh --perf-smoke     # also assert batched >= scalar scoring
-#                                   # and UCB Learn <= 0.75x TS Learn
+#   tools/check.sh --perf-smoke     # also assert batched >= scalar scoring,
+#                                   # UCB Learn <= 0.75x TS Learn, and the
+#                                   # active SIMD tier's batched widths
+#                                   # <= 0.6x the SSE2 tier's
 #   tools/check.sh --chaos-smoke    # also run the chaos soak matrix
 #   tools/check.sh --shard-smoke    # also run the sharded kill-mode drills
 #   tools/check.sh --replay-smoke   # also record + counterfactually replay
@@ -46,7 +47,6 @@ replay_smoke=0
 load_smoke=0
 scale_smoke=0
 net_smoke=0
-native=OFF
 for arg in "$@"; do
   case "$arg" in
     --metrics-smoke) metrics_smoke=1 ;;
@@ -57,12 +57,11 @@ for arg in "$@"; do
     --load-smoke) load_smoke=1 ;;
     --scale-smoke) scale_smoke=1 ;;
     --net-smoke) net_smoke=1 ;;
-    --native) native=ON ;;
     *)
       echo "check.sh: unknown argument '$arg'" \
            "(supported: --metrics-smoke --perf-smoke --chaos-smoke" \
            "--shard-smoke --replay-smoke --load-smoke --scale-smoke" \
-           "--net-smoke --native)" >&2
+           "--net-smoke)" >&2
       exit 2
       ;;
   esac
@@ -82,10 +81,8 @@ configure() {
   fi
 }
 
-echo "== tier-1: plain build + ctest (FASEA_NATIVE_ARCH=$native) =="
-# The flag is passed explicitly both ways so a previous --native run's
-# cached value cannot leak into a later plain run.
-configure "$root/build" -DFASEA_NATIVE_ARCH="$native"
+echo "== tier-1: plain build + ctest =="
+configure "$root/build"
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs" -LE soak
 
@@ -300,21 +297,44 @@ fi
 if [[ "$perf_smoke" -eq 1 ]]; then
   echo
   echo "== perf smoke: batched vs scalar UCB propose (d=50, |V|=1000)," \
-       "UCB vs TS learn (d=15) =="
+       "UCB vs TS learn (d=15), SIMD tier widths (|V|=100, d=16) =="
   "$root/build/bench/micro_policies" \
     --benchmark_filter='BM_UcbPropose(Batched|Scalar)/1000/50|BM_(Ucb|Ts)Learn/15$' \
     --benchmark_format=json --benchmark_min_time=0.2 \
     >"$root/build/perf_smoke.json"
-  python3 - "$root/build/perf_smoke.json" <<'PY'
+  # Medians of five repetitions: a single 0.2-s reading of either row can
+  # be off by a quarter on a shared host.
+  "$root/build/bench/micro_linalg" \
+    --benchmark_filter='BM_WidthBatch(Tier_sse2)?/100/16$' \
+    --benchmark_format=json --benchmark_min_time=0.2 \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+    >"$root/build/perf_smoke_tiers.json"
+  # fasea_cli stats names the tier the kernels run on stderr.
+  wal="$root/build/perf-smoke-wal.$$"
+  "$root/build/tools/fasea_cli" stats --rounds=1 --wal_dir="$wal" \
+    2>&1 >/dev/null | sed -n 's/^kernels: \([a-z0-9]*\) tier$/\1/p' \
+    >"$root/build/perf_smoke_tier.txt"
+  rm -rf "$wal"
+  python3 - "$root/build/perf_smoke.json" "$root/build/perf_smoke_tiers.json" \
+    "$root/build/perf_smoke_tier.txt" <<'PY'
 import json
 import sys
 
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-times = {b["name"]: b["real_time"] for b in data["benchmarks"]
-         if b.get("run_type", "iteration") == "iteration"}
-batched = times["BM_UcbProposeBatched/1000/50"]
-scalar = times["BM_UcbProposeScalar/1000/50"]
+def times(path):
+    with open(path) as f:
+        data = json.load(f)
+    return {b["name"]: b["real_time"] for b in data["benchmarks"]
+            if b.get("run_type", "iteration") == "iteration"}
+
+def medians(path):
+    with open(path) as f:
+        data = json.load(f)
+    return {b["run_name"]: b["real_time"] for b in data["benchmarks"]
+            if b.get("aggregate_name") == "median"}
+
+policies = times(sys.argv[1])
+batched = policies["BM_UcbProposeBatched/1000/50"]
+scalar = policies["BM_UcbProposeScalar/1000/50"]
 # The batched path must not regress below the scalar reference; 10%
 # slack absorbs single-core timer noise (the real margin is ~1.5x even
 # on portable SSE2 codegen, far outside the slack).
@@ -327,14 +347,36 @@ print(f"perf smoke: batched {batched:.0f}ns <= scalar {scalar:.0f}ns "
 # Learn skips the O(d^2) rank-1 factor update per observation. At d=15 it
 # reads about 0.5x TS's; a factor maintained for every policy again
 # reads about 1x.
-ucb_learn = times["BM_UcbLearn/15"]
-ts_learn = times["BM_TsLearn/15"]
+ucb_learn = policies["BM_UcbLearn/15"]
+ts_learn = policies["BM_TsLearn/15"]
 assert ucb_learn <= 0.75 * ts_learn, (
     f"UCB learn ({ucb_learn:.0f}ns) above 0.75x TS learn "
     f"({ts_learn:.0f}ns) at d=15: is a Cholesky factor maintained "
     f"for a policy that does not sample?")
 print(f"perf smoke: UCB learn {ucb_learn:.0f}ns <= 0.75x TS learn "
       f"{ts_learn:.0f}ns ({ucb_learn / ts_learn:.2f}x) OK")
+# The kernels run the widest SIMD tier the host supports. BM_WidthBatch
+# goes through that dispatch; the SSE2 row runs the 2-lane tier
+# directly. With a wider tier active, the batched widths at |V|=100,
+# d=16 read about 0.4-0.5x the SSE2 tier's; dispatch stuck on SSE2
+# reads about 1x.
+with open(sys.argv[3]) as f:
+    tier = f.read().strip()
+assert tier, "fasea_cli stats printed no kernel tier"
+print(f"perf smoke: active SIMD tier {tier}")
+tiers = medians(sys.argv[2])
+active = tiers["BM_WidthBatch/100/16"]
+sse2 = tiers["BM_WidthBatchTier_sse2/100/16"]
+if tier in ("sse2", "generic"):
+    print(f"perf smoke: widths {active:.0f}ns at the base tier; "
+          f"no wider tier to compare")
+else:
+    assert active <= 0.6 * sse2, (
+        f"batched widths at the {tier} tier ({active:.0f}ns) above 0.6x "
+        f"the SSE2 tier's ({sse2:.0f}ns) at |V|=100, d=16: does the "
+        f"dispatch run the wide kernels?")
+    print(f"perf smoke: {tier} widths {active:.0f}ns <= 0.6x SSE2 "
+          f"{sse2:.0f}ns ({active / sse2:.2f}x) OK")
 PY
 fi
 

@@ -66,6 +66,7 @@
 
 #include <unistd.h>
 
+#include "common/cpu_features.h"
 #include "common/flags.h"
 #include "datagen/synthetic.h"
 #include "ebsn/arrangement_service.h"
@@ -413,6 +414,11 @@ int StatsMain(int argc, char** argv) {
     }
   }
 
+  // The SIMD tier the scoring and learner kernels ran at (stdout stays
+  // the metrics dump).
+  std::fprintf(stderr, "kernels: %s tier\n",
+               std::string(fasea::SimdTierName(fasea::HostSimdTier()))
+                   .c_str());
   if (format == "json") {
     std::printf("%s\n", fasea::Metrics()->ToJson().c_str());
   } else {
